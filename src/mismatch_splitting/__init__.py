@@ -83,6 +83,7 @@ from .experiments import (
     run_tomography,
 )
 from .tomo import (
+    NeumannGradient,
     ParallelGeometry,
     ProjectorPair,
     build_projector_pair,

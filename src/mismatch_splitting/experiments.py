@@ -66,6 +66,7 @@ class RunReport:
     summary: dict = field(default_factory=dict)
     traces: dict = field(default_factory=dict)  # solver -> (columns, rows)
     images: dict = field(default_factory=dict)  # name -> 2d array
+    timings: dict = field(default_factory=dict)  # wall times in s, kept out of summary
     artifact_paths: list = field(default_factory=list)
 
     @property
@@ -82,6 +83,15 @@ def _trace_from_result(result):
     for i, row in enumerate(result.trace):
         rows.append(list(row) + [result.extras[name][i] for name in extra_names])
     return tuple(columns), rows
+
+
+def _inner_backends(steppers):
+    """Per named PDDR stepper: its inner solver's backend and reciprocal
+    condition estimate, and apart from them, because wall time is not
+    deterministic, its factorisation time in seconds."""
+    inner = {name: st.inner_solver for name, st in steppers.items()}
+    return ({name: {"backend": s.backend, "rcond": s.rcond} for name, s in inner.items()},
+            {name: s.factor_s for name, s in inner.items()})
 
 
 def _empirical_rate(values, window=100, floor=1e-14):
@@ -212,6 +222,8 @@ def run_quadratic(config=None):
     report.traces["cp"] = _trace_from_result(res_cp)
 
     mm = runs["mismatched"]
+    backends, factor_s = _inner_backends({name: spec[0] for name, spec in specs.items()})
+    report.timings["inner_factor_s"] = factor_s
     report.summary = {
         "mismatch_norm": d,
         "tau": tau,
@@ -223,6 +235,7 @@ def run_quadratic(config=None):
         "terminal_dist_to_fixed_point": float(np.linalg.norm(mm.state.x - x_hat)),
         "terminal_dist_to_true": float(np.linalg.norm(mm.state.x - x_star)),
         "cp_step": step_cp,
+        "inner_backend": backends,
     }
     return report
 
@@ -290,11 +303,17 @@ def run_tomography(config=None):
     grad_mat = proj.gradient.matrix
     radon_mat = proj.radon_forward.matrix
 
+    knee = config.lam1 * config.eps
+
     def objective(x):
+        # the Huber-smoothed TV whose conjugate huber_tv_prox evaluates:
+        # |g|^2 / (2 eps) up to |g| = lam1 eps, lam1 |g| - lam1^2 eps / 2 beyond
         r = radon_mat @ x - z
         g = (grad_mat @ x).reshape(2, n_pix)
-        tv = float(np.sum(np.sqrt(np.sum(g * g, axis=0))))
-        return (0.5 * config.lam0 * float(r @ r) + config.lam1 * tv
+        s = np.hypot(g[0], g[1])
+        huber = np.where(s <= knee, s * s / (2.0 * config.eps),
+                         config.lam1 * s - 0.5 * config.lam1 * knee)
+        return (0.5 * config.lam0 * float(r @ r) + float(np.sum(huber))
                 + 0.5 * config.lam2 * float(x @ x))
 
     stopping = solvers.StoppingRule(config.max_iters, config.fixed_point_tol)
@@ -324,6 +343,8 @@ def run_tomography(config=None):
 
     mm = runs["mismatched"]
     bound = analysis.error_bound(problem, mm.state.y, gamma_g=config.lam2)
+    backends, factor_s = _inner_backends(specs)
+    report.timings["inner_factor_s"] = factor_s
     report.summary = {
         "mismatch_norm": d,
         "tau": tau,
@@ -333,6 +354,7 @@ def run_tomography(config=None):
         "final_residuals": {name: (runs[name].residuals[-1] if runs[name].residuals else None)
                             for name in runs},
         "cp_step": step_cp,
+        "inner_backend": backends,
     }
 
     shape = (config.image_size, config.image_size)
@@ -397,6 +419,7 @@ def emit_report(report, out_dir):
         "statuses": report.statuses,
         "plan": report.plan,
         "summary": report.summary,
+        "timings": report.timings,
     }
     with open(summary_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

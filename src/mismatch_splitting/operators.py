@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,11 @@ import scipy.sparse.linalg
 
 POWER_SEED = 0x5EED
 DENSE_DIM_LIMIT = 2000
+# a factorisation whose LAPACK 1-norm reciprocal condition estimate falls
+# below this is treated as singular
+RCOND_FLOOR = 1e-14
+# columns of the Woodbury capacitance formed per batch of base solves
+_CAPACITANCE_BATCH = 256
 
 
 class PowerIterationError(RuntimeError):
@@ -77,6 +83,7 @@ class MatrixOperator(LinearMap):
             if matrix.ndim != 2:
                 raise ValueError("matrix must be 2-dimensional")
         self._matrix = matrix
+        self._adjoint = _transposed(matrix)
         self.codomain_dim, self.domain_dim = matrix.shape
 
     @property
@@ -87,7 +94,14 @@ class MatrixOperator(LinearMap):
         return self._matrix @ np.asarray(x, dtype=float)
 
     def apply_adjoint(self, y):
-        return self._matrix.T @ np.asarray(y, dtype=float)
+        return self._adjoint @ np.asarray(y, dtype=float)
+
+
+def _transposed(matrix):
+    """The transpose to multiply with: one CSR copy for a sparse matrix, whose
+    ``.T`` would otherwise be rebuilt on every product, and the ``.T`` view
+    for an ndarray, so that dense products round exactly as before."""
+    return matrix.T.tocsr() if scipy.sparse.issparse(matrix) else matrix.T
 
 
 class FunctionOperator(LinearMap):
@@ -347,69 +361,42 @@ class BlockSkewOperator(LinearMap):
         )
 
 
-class _ShiftedSkewSolver:
-    """Solves B u = f and B^T u = f for B = [[g I, V*], [-A, f I]], g, f > 0.
-
-    One LU of the domain-sized Schur complement g*f I + V* A serves both:
-    eliminating the dual block of B and the primal block of B^T lead to the
-    Schur matrix and its transpose respectively.
-    """
-
-    def __init__(self, block):
-        if block.shift_g <= 0 or block.shift_f <= 0:
-            raise ValueError("Schur elimination of the skew block needs positive shifts")
-        ma = block.pair.forward.matrix
-        mv = block.pair.surrogate.matrix
-        if ma is None or mv is None:
-            raise ValueError(
-                "sigma_min above the dense threshold needs matrix-backed operators"
-            )
-        self.block = block
-        self.n = block.pair.domain_dim
-        gf = block.shift_g * block.shift_f
-        schur = gf * scipy.sparse.eye(self.n) + scipy.sparse.csr_matrix(mv).T @ scipy.sparse.csr_matrix(ma)
-        self._lu = scipy.sparse.linalg.splu(schur.tocsc())
-
-    def solve(self, rhs):
-        b = self.block
-        fx, fy = rhs[: self.n], rhs[self.n:]
-        v = self._lu.solve(b.shift_f * fx - b.pair.apply_surrogate_adjoint(fy))
-        w = (fy + b.pair.forward.apply(v)) / b.shift_f
-        return np.concatenate([v, w])
-
-    def solve_transpose(self, rhs):
-        b = self.block
-        f1, f2 = rhs[: self.n], rhs[self.n:]
-        u1 = self._lu.solve(
-            b.shift_f * f1 + b.pair.forward.apply_adjoint(f2), trans="T"
-        )
-        u2 = (f2 - b.pair.surrogate.apply(u1)) / b.shift_f
-        return np.concatenate([u1, u2])
-
-
 def estimate_sigma_min(block, tol=1e-8, max_iters=5000):
     """Smallest singular value of a BlockSkewOperator.
 
-    Dense SVD for total dimension <= DENSE_DIM_LIMIT; otherwise inverse
-    power iteration on B^{-1} B^{-T} with Schur-complement solves (requires
-    matrix-backed maps and positive shifts).
+    Dense SVD for total dimension <= DENSE_DIM_LIMIT; otherwise Lanczos on
+    B^{-1} B^{-T} with both solves done by the InnerSystemSolver of the
+    block (tau = 1, mu_g = shift_g - 1, mu_f = shift_f - 1, so that the
+    diagonals are the shifts; requires matrix-backed maps and positive
+    shifts).  A block that cannot be factored raises
+    SingularInnerSystemError instead of reporting sigma_min = 0.
     """
     total = block.domain_dim
     if total <= DENSE_DIM_LIMIT:
         dense = block.as_array()
         return float(np.linalg.svd(dense, compute_uv=False)[-1])
 
+    g, f = block.shift_g, block.shift_f
     try:
-        solver = _ShiftedSkewSolver(block)
-    except RuntimeError:
-        return 0.0
+        solver = InnerSystemSolver(block.pair, 1.0, g - 1.0, f - 1.0)
+    except SingularInnerSystemError as exc:
+        raise SingularInnerSystemError(
+            f"sigma_min: the shifted skew block [[g I, V*], [-A, f I]] with "
+            f"g = {g:.6g}, f = {f:.6g} is singular to working precision, so no "
+            f"linear rate can be certified for these shifts ({exc})"
+        ) from exc
+    if solver.backend == "iterative":
+        raise ValueError("sigma_min above the dense threshold needs matrix-backed operators")
+    n = block.pair.domain_dim
+
+    def matvec(z):
+        return np.concatenate(solver.solve(*solver.solve_transpose(z[:n], z[n:])))
+
     rng = np.random.default_rng(POWER_SEED)
     v0 = rng.standard_normal(total)
     # B^{-1} B^{-T} is symmetric positive definite; its largest eigenvalue
     # is 1/sigma_min^2 and Lanczos is robust to small spectral gaps
-    op = scipy.sparse.linalg.LinearOperator(
-        (total, total), matvec=lambda z: solver.solve(solver.solve_transpose(z))
-    )
+    op = scipy.sparse.linalg.LinearOperator((total, total), matvec=matvec)
     try:
         lam = scipy.sparse.linalg.eigsh(
             op, k=1, which="LM", v0=v0, tol=tol, maxiter=max_iters,
@@ -422,13 +409,52 @@ def estimate_sigma_min(block, tol=1e-8, max_iters=5000):
     return 1.0 / math.sqrt(float(lam))
 
 
-class InnerSystemSolver:
-    """Cached solver for the 2x2 block system of one iteration.
+def dct_matrix(n):
+    """Orthonormal DCT-II matrix: row k is s_k cos(pi k (i + 1/2) / n)."""
+    k = np.arange(n)[:, None]
+    mat = math.sqrt(2.0 / n) * np.cos(np.pi * k * (np.arange(n) + 0.5) / n)
+    mat[0] /= math.sqrt(2.0)
+    return mat
 
-    Solves ``(1+tau*mu_g) v + tau V* w = rhs_x`` and
-    ``-tau A v + (1+tau*mu_f) w = rhs_y`` by Schur-complement elimination on
-    the smaller of the two spaces.  The factorization (dense LU, sparse LU,
-    or a matrix-free closure) is built once on construction.
+
+def _dense_lu(mat):
+    """LAPACK LU of a square matrix and its 1-norm reciprocal condition
+    estimate (dgecon on the factors; 0.0 for an exactly zero pivot)."""
+    lu, piv, info = scipy.linalg.lapack.dgetrf(mat)
+    if info > 0:
+        return (lu, piv), 0.0
+    anorm = float(np.max(np.sum(np.abs(mat), axis=0)))
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm)
+    return (lu, piv), float(rcond)
+
+
+class InnerSystemSolver:
+    """Factored solver for the 2x2 block system [[a I, tau V*], [-tau A, b I]].
+
+    ``solve`` solves the system and ``solve_transpose`` its transpose, both
+    by Schur-complement elimination, with a = 1 + tau*mu_g and
+    b = 1 + tau*mu_f (the system of one PDDR iteration; tau = 1 and
+    mu = shift - 1 give BlockSkewOperator).
+    The Schur complement is factored once, on construction, by a backend
+    chosen from the structure of the pair (``backend``):
+
+    - ``"woodbury"``: forward and surrogate are VStackMaps that share one
+      block exposing ``image_shape`` and ``dct_eigenvalues``, the spectrum
+      of D^T D in the 2-D DCT-II basis (tomo.NeumannGradient), and whose
+      other blocks R_A, R_V carry matrices.  The domain-side Schur
+      complement is B + tau^2 R_V^T R_A with B = ab I + tau^2 D^T D, which
+      the orthonormal 2-D DCT-II diagonalises; only the capacitance
+      C = I/tau^2 + R_A B^{-1} R_V^T, of the size of R_A's rows, is factored.
+    - ``"dense"``: LAPACK LU of the Schur complement on the smaller side.
+    - ``"sparse"``: SuperLU, when that Schur complement is sparse and larger
+      than DENSE_DIM_LIMIT (no condition estimate; only an exactly zero
+      pivot is reported singular).
+    - ``"iterative"``: matrix-free lgmres when an operator has no matrix
+      (no transpose solve).
+
+    Each LAPACK LU is guarded by its dgecon estimate ``rcond``; below
+    RCOND_FLOOR the system is reported singular.  ``factor_s`` is the
+    factorisation wall time.
     """
 
     def __init__(self, pair, tau, mu_g=0.0, mu_f=0.0):
@@ -438,9 +464,14 @@ class InnerSystemSolver:
         self.tau = float(tau)
         self.a = 1.0 + tau * mu_g  # primal diagonal
         self.b = 1.0 + tau * mu_f  # dual diagonal
+        if not (self.a > 0 and self.b > 0):
+            raise ValueError("Schur elimination needs positive diagonals a and b")
         n, m = pair.domain_dim, pair.codomain_dim
         self.eliminate_primal = m <= n  # factor on the smaller side
+        self.rcond = None
+        t0 = time.perf_counter()
         self._build()
+        self.factor_s = time.perf_counter() - t0
 
     def _schur_matrix(self):
         """Materialize the Schur complement if both maps carry matrices."""
@@ -468,13 +499,17 @@ class InnerSystemSolver:
         return ab * np.eye(dim) + t2 * np.asarray(prod)
 
     def _build(self):
+        shared = self._shared_dct_block()
+        if shared is not None:
+            self._build_woodbury(*shared)
+            return
         schur = self._schur_matrix()
         dim = self.pair.codomain_dim if self.eliminate_primal else self.pair.domain_dim
         if schur is None:
-            self._mode = "iterative"
+            self.backend = "iterative"
             self._op = self._matfree_schur(dim)
         elif scipy.sparse.issparse(schur) and dim > DENSE_DIM_LIMIT:
-            self._mode = "sparse"
+            self.backend = "sparse"
             try:
                 self._lu = scipy.sparse.linalg.splu(schur)
             except RuntimeError as exc:
@@ -483,15 +518,67 @@ class InnerSystemSolver:
                     "tau < 1/||A - V||"
                 ) from exc
         else:
+            self.backend = "dense"
             dense = schur.toarray() if scipy.sparse.issparse(schur) else schur
-            cond = np.linalg.cond(dense) if dim <= DENSE_DIM_LIMIT else None
-            if cond is not None and cond > 1e14:
-                raise SingularInnerSystemError(
-                    f"inner block system has condition estimate {cond:.3e} > 1e14; "
-                    "tau violates the bound tau < 1/||A - V||"
-                )
-            self._mode = "dense"
-            self._lu = scipy.linalg.lu_factor(dense)
+            self._lu, self.rcond = _dense_lu(dense)
+            self._check_rcond("Schur complement")
+
+    def _check_rcond(self, what):
+        if not self.rcond >= RCOND_FLOOR:
+            raise SingularInnerSystemError(
+                f"inner block system is singular to working precision: its "
+                f"{what} has reciprocal condition estimate {self.rcond:.3e} < "
+                f"{RCOND_FLOOR:g} ({self.backend} backend); tau violates the "
+                "bound tau < 1/||A - V||"
+            )
+
+    def _shared_dct_block(self):
+        """(D, R_A, R_V) when forward and surrogate stack one shared block D
+        exposing ``dct_eigenvalues`` beside matrix-backed blocks R_A, R_V."""
+        fwd, sur = self.pair.forward, self.pair.surrogate
+        if not (isinstance(fwd, VStackMap) and isinstance(sur, VStackMap)):
+            return None
+        pairs = list(zip(fwd.blocks, sur.blocks))
+        if len(fwd.blocks) != len(sur.blocks) or any(
+                fb.codomain_dim != sb.codomain_dim for fb, sb in pairs):
+            return None
+        shared = [i for i, (fb, sb) in enumerate(pairs)
+                  if fb is sb and hasattr(fb, "dct_eigenvalues")]
+        if len(shared) != 1 or len(pairs) == 1:
+            return None
+        rest = [bs for i, bs in enumerate(pairs) if i != shared[0]]
+        r_a = VStackMap([fb for fb, _ in rest]).matrix
+        r_v = VStackMap([sb for _, sb in rest]).matrix
+        if r_a is None or r_v is None:
+            return None
+        return pairs[shared[0]][0], r_a, r_v
+
+    def _build_woodbury(self, grad, r_a, r_v):
+        self.backend = "woodbury"
+        self.eliminate_primal = False
+        t2 = self.tau**2
+        rows, cols = grad.image_shape
+        self._dct = (dct_matrix(rows), dct_matrix(cols))
+        self._base_eig = self.a * self.b + t2 * np.reshape(grad.dct_eigenvalues, (rows, cols))
+        self._r = (r_a, _transposed(r_v))
+        self._r_transposed = (r_v, _transposed(r_a))
+        k = r_a.shape[0]
+        cap = np.eye(k) / t2
+        for lo in range(0, k, _CAPACITANCE_BATCH):
+            block = r_v[lo:lo + _CAPACITANCE_BATCH]
+            block = block.toarray() if scipy.sparse.issparse(block) else np.asarray(block)
+            # rows of B^{-1} R_V^T (B is symmetric) -> columns of R_A B^{-1} R_V^T
+            cap[:, lo:lo + block.shape[0]] += r_a @ self._base_solve(block).T
+        self._lu, self.rcond = _dense_lu(cap)
+        self._check_rcond("Woodbury capacitance")
+
+    def _base_solve(self, x):
+        """B^{-1} x along the last axis, B = ab I + tau^2 D^T D, by 2-D DCT."""
+        c_rows, c_cols = self._dct
+        img = x.reshape(x.shape[:-1] + self._base_eig.shape)
+        spec = c_rows @ img @ c_cols.T
+        spec /= self._base_eig
+        return (c_rows.T @ spec @ c_cols).reshape(x.shape)
 
     def _matfree_schur(self, dim):
         t2, ab = self.tau**2, self.a * self.b
@@ -504,11 +591,20 @@ class InnerSystemSolver:
                 return ab * v + t2 * pair.apply_surrogate_adjoint(pair.forward.apply(v))
         return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv)
 
-    def _schur_solve(self, rhs):
-        if self._mode == "dense":
-            return scipy.linalg.lu_solve(self._lu, rhs)
-        if self._mode == "sparse":
-            return self._lu.solve(rhs)
+    def _schur_solve(self, rhs, transpose=False):
+        if self.backend == "woodbury":
+            # y = B^{-1} r, s = C^{-1} R_A y, v = B^{-1} (r - R_V^T s); the
+            # transpose swaps R_A and R_V and uses C^T
+            left, right_t = self._r_transposed if transpose else self._r
+            y = self._base_solve(rhs)
+            s = scipy.linalg.lu_solve(self._lu, left @ y, trans=int(transpose))
+            return self._base_solve(rhs - right_t @ s)
+        if self.backend == "dense":
+            return scipy.linalg.lu_solve(self._lu, rhs, trans=int(transpose))
+        if self.backend == "sparse":
+            return self._lu.solve(rhs, trans="T" if transpose else "N")
+        if transpose:
+            raise ValueError("the matrix-free inner solver has no transpose solve")
         sol, info = scipy.sparse.linalg.lgmres(self._op, rhs, rtol=1e-13, atol=0.0, maxiter=2000)
         if info != 0:
             raise SingularInnerSystemError(
@@ -518,6 +614,7 @@ class InnerSystemSolver:
         return sol
 
     def solve(self, rhs_x, rhs_y):
+        """(v, w) with a v + tau V* w = rhs_x and -tau A v + b w = rhs_y."""
         tau, a, b = self.tau, self.a, self.b
         pair = self.pair
         if self.eliminate_primal:
@@ -528,6 +625,19 @@ class InnerSystemSolver:
             rhs = b * rhs_x - tau * pair.apply_surrogate_adjoint(rhs_y)
             v = self._schur_solve(rhs)
             w = (rhs_y + tau * pair.forward.apply(v)) / b
+        return v, w
+
+    def solve_transpose(self, rhs_x, rhs_y):
+        """(v, w) with a v - tau A^T w = rhs_x and tau V v + b w = rhs_y."""
+        tau, a, b = self.tau, self.a, self.b
+        pair = self.pair
+        if self.eliminate_primal:
+            w = self._schur_solve(a * rhs_y - tau * pair.surrogate.apply(rhs_x), transpose=True)
+            v = (rhs_x + tau * pair.forward.apply_adjoint(w)) / a
+        else:
+            v = self._schur_solve(b * rhs_x + tau * pair.forward.apply_adjoint(rhs_y),
+                                  transpose=True)
+            w = (rhs_y - tau * pair.surrogate.apply(v)) / b
         return v, w
 
 

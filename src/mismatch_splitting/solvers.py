@@ -136,7 +136,7 @@ class PDDRStepper:
         self.mu_f = float(mu_f)
         self._prox_g = problem.prox_g if mu_g == 0.0 else prox_convex_shifted(problem.prox_g, mu_g)
         self._prox_f = problem.prox_fstar if mu_f == 0.0 else prox_convex_shifted(problem.prox_fstar, mu_f)
-        self._solver = pair.inner_solver(tau, mu_g, mu_f)
+        self.inner_solver = pair.inner_solver(tau, mu_g, mu_f)
 
     residual_scale_attr = "theta"
 
@@ -151,7 +151,7 @@ class PDDRStepper:
         tau, theta = self.tau, self.theta
         x = self._prox_g(state.p, tau)
         y = self._prox_f(state.q, tau)
-        v, w = self._solver.solve(2.0 * x - state.p, 2.0 * y - state.q)
+        v, w = self.inner_solver.solve(2.0 * x - state.p, 2.0 * y - state.q)
         p = state.p + theta * (v - x)
         q = state.q + theta * (w - y)
         return SolverState(x, y, v, w, p, q, state.k + 1)

@@ -95,6 +95,24 @@ def gradient_matrix(n):
     return scipy.sparse.vstack([dx, dy], format="csr")
 
 
+class NeumannGradient(MatrixOperator):
+    """``gradient_matrix(n)`` as an operator that exposes its DCT spectrum.
+
+    With forward differences and a Neumann boundary, D^T D is the Neumann
+    Laplacian, which the orthonormal 2-D DCT-II diagonalises (Strang, "The
+    Discrete Cosine Transform", SIAM Rev. 1999).  ``dct_eigenvalues[k, l]``
+    is its eigenvalue for DCT frequency (k, l), lam_k + lam_l with
+    lam_k = 2 - 2 cos(pi k / n); InnerSystemSolver reads it to invert
+    ``c I + t D^T D`` in the DCT basis.
+    """
+
+    def __init__(self, n):
+        super().__init__(gradient_matrix(n))
+        self.image_shape = (n, n)
+        lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+        self.dct_eigenvalues = lam[:, None] + lam[None, :]
+
+
 def ray_driven_matrix(geom):
     """Line-integral projector with exact intersection-length weights."""
     n = geom.image_size
@@ -179,7 +197,7 @@ class ProjectorPair:
     geometry: ParallelGeometry
     radon_forward: MatrixOperator
     radon_surrogate: MatrixOperator
-    gradient: MatrixOperator
+    gradient: NeumannGradient
 
     def mismatch_pair(self):
         return MismatchPair(self.forward, self.surrogate)
@@ -189,7 +207,7 @@ def build_projector_pair(geom):
     """Assemble the stacked non-adjoint projector pair for a geometry."""
     radon_a = MatrixOperator(ray_driven_matrix(geom))
     radon_v = MatrixOperator(pixel_driven_matrix(geom))
-    grad = MatrixOperator(gradient_matrix(geom.image_size))
+    grad = NeumannGradient(geom.image_size)
     return ProjectorPair(
         forward=VStackMap([radon_a, grad]),
         surrogate=VStackMap([radon_v, grad]),

@@ -8,8 +8,10 @@ from mismatch_splitting.cli import main as cli_main
 from mismatch_splitting.experiments import (
     QuadraticConfig,
     RunReport,
+    TomoConfig,
     run_counterexample,
     run_quadratic,
+    run_tomography,
     emit_report,
     write_pgm,
 )
@@ -69,6 +71,29 @@ def test_run_quadratic_deterministic():
     skip = cols1.index("wall_time_ms")  # the only nondeterministic column
     for a, b in zip(rows1, rows2):
         assert a[:skip] == b[:skip] and a[skip + 1:] == b[skip + 1:]
+
+
+def test_run_quadratic_records_inner_backend():
+    report = run_quadratic(small_quadratic())
+    backends = report.summary["inner_backend"]
+    assert sorted(backends) == ["adapted", "matched", "mismatched"]
+    for name, info in backends.items():
+        assert info["backend"] == "dense"
+        assert 0.0 < info["rcond"] <= 1.0
+        assert report.timings["inner_factor_s"][name] > 0.0
+
+
+def test_tomography_objective_is_the_smoothed_one_solved():
+    # the matched run minimises the model, so its Huber-TV objective is the
+    # lowest; plain TV ranked the mismatched point lower on this instance
+    report = run_tomography(TomoConfig(image_size=16, num_angles=4, seed=3))
+    finals = {}
+    for name in ("matched", "mismatched", "adapted"):
+        columns, rows = report.traces[name]
+        finals[name] = rows[-1][columns.index("objective")]
+        assert report.summary["inner_backend"][name]["backend"] == "woodbury"
+        assert report.timings["inner_factor_s"][name] > 0.0
+    assert finals["matched"] < min(finals["mismatched"], finals["adapted"])
 
 
 def test_run_quadratic_adapted_agrees_with_mismatched():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from mismatch_splitting.operators import (
     BlockSkewOperator,
     DifferenceMap,
     FunctionOperator,
+    InnerSystemSolver,
     MatrixOperator,
     MismatchPair,
     PowerIterationError,
@@ -21,7 +23,7 @@ from mismatch_splitting.operators import (
     save_operator_csv,
     solve_inner_system,
 )
-from mismatch_splitting.tomo import ParallelGeometry, build_projector_pair
+from mismatch_splitting.tomo import ParallelGeometry, build_projector_pair, ray_driven_matrix
 
 
 def random_matrix_op(seed, m, n, sparse=False):
@@ -46,6 +48,16 @@ def test_composite_operator_adjoint_consistency(seed, m, n):
     for op in (DifferenceMap(a, b), VStackMap([a, b]), ScaledIdentity(n, -2.5),
                ZeroOperator(n, m)):
         assert adjoint_defect(op, probe) < 1e-10
+
+
+def test_matrix_operator_adjoint_equals_transpose_product():
+    geom = ParallelGeometry(32, 10, 32)
+    pair = build_projector_pair(geom)
+    rng = np.random.default_rng(3)
+    for op in (MatrixOperator(ray_driven_matrix(geom)), pair.gradient,
+               random_matrix_op(4, 30, 20)):
+        y = rng.standard_normal(op.codomain_dim)
+        assert np.array_equal(op.apply_adjoint(y), op.matrix.T @ y)
 
 
 def test_function_operator_wraps_callables():
@@ -122,6 +134,25 @@ def test_sigma_min_iterative_path_matches_dense(monkeypatch):
     assert abs(estimate_sigma_min(block) - dense) <= 1e-8 * dense
 
 
+def test_sigma_min_iterative_path_dense_pair(monkeypatch):
+    pair = MismatchPair(random_matrix_op(7, 20, 30), random_matrix_op(8, 20, 30))
+    block = BlockSkewOperator(pair, 0.7, 0.3)
+    dense = float(np.linalg.svd(block.as_array(), compute_uv=False)[-1])
+    monkeypatch.setattr("mismatch_splitting.operators.DENSE_DIM_LIMIT", 10)
+    assert InnerSystemSolver(pair, 1.0, 0.7 - 1.0, 0.3 - 1.0).backend == "dense"
+    assert abs(estimate_sigma_min(block) - dense) <= 1e-8 * dense
+
+
+def test_sigma_min_singular_block_raises(monkeypatch):
+    # A = I, V* = -g f I: the Schur complement g f I + V* A is exactly 0
+    g, f = 0.5, 0.8
+    pair = MismatchPair(ScaledIdentity(3, 1.0), ScaledIdentity(3, -g * f))
+    block = BlockSkewOperator(pair, g, f)
+    monkeypatch.setattr("mismatch_splitting.operators.DENSE_DIM_LIMIT", 2)
+    with pytest.raises(SingularInnerSystemError, match="sigma_min"):
+        estimate_sigma_min(block)
+
+
 def test_sigma_min_iterative_path_needs_matrices(monkeypatch):
     op = FunctionOperator(3, 3, lambda x: x, lambda y: y)
     block = BlockSkewOperator(MismatchPair(op, op), 1.0, 1.0)
@@ -183,6 +214,72 @@ def test_inner_system_singularity_names_tau_bound():
     pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -1.0))
     with pytest.raises(SingularInnerSystemError, match="tau"):
         solve_inner_system(pair, 1.0, 0.0, 0.0, np.ones(1), np.ones(1))
+
+
+def test_inner_system_singularity_guard_above_dense_limit():
+    # A = I, V* = -I / tau^2: the Schur complement I + tau^2 A V* is exactly 0
+    d, tau = 2001, 0.5
+    pair = MismatchPair(MatrixOperator(np.eye(d)), MatrixOperator(-np.eye(d) / tau**2))
+    with pytest.raises(SingularInnerSystemError, match="tau"):
+        InnerSystemSolver(pair, tau)
+
+
+def test_small_sparse_near_singular_pair_is_guarded():
+    # A = I and a diagonal V with V_00 = -(1 - 1e-16) / tau^2: entry 0 of the
+    # Schur complement I + tau^2 A V* is ~1e-16 while the others are ~1
+    d, tau = 300, 0.5
+    diag = np.full(d, 1.0)
+    diag[0] = -(1.0 - 1e-16) / tau**2
+    pair = MismatchPair(MatrixOperator(scipy.sparse.identity(d, format="csr")),
+                        MatrixOperator(scipy.sparse.diags(diag).tocsr()))
+    with pytest.raises(SingularInnerSystemError, match="tau"):
+        InnerSystemSolver(pair, tau)
+
+
+def test_inner_system_sparse_backend_solves_both_systems(monkeypatch):
+    d, tau, mu_g, mu_f = 300, 0.4, 0.1, 0.2
+    a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
+    rng = np.random.default_rng(9)
+    a_mat, v_mat = (scipy.sparse.diags(rng.uniform(0.5, 1.5, d)).tocsr() for _ in range(2))
+    monkeypatch.setattr("mismatch_splitting.operators.DENSE_DIM_LIMIT", 100)
+    solver = InnerSystemSolver(MismatchPair(MatrixOperator(a_mat), MatrixOperator(v_mat)),
+                               tau, mu_g, mu_f)
+    assert solver.backend == "sparse"
+    eye = np.eye(d)
+    system = np.block([[a * eye, tau * v_mat.T.toarray()], [-tau * a_mat.toarray(), b * eye]])
+    rhs = rng.standard_normal(2 * d)
+    for solve, mat in ((solver.solve, system), (solver.solve_transpose, system.T)):
+        got = np.concatenate(solve(rhs[:d], rhs[d:]))
+        assert np.linalg.norm(mat @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("size", [8, 16])
+@pytest.mark.parametrize("matched", [False, True])
+def test_woodbury_inner_solve_matches_dense_schur_lu(size, matched):
+    geom = ParallelGeometry(size, 4, size)
+    pair = build_projector_pair(geom).mismatch_pair()
+    if matched:
+        pair = pair.matched()
+    a_mat, v_mat = pair.forward.as_array(), pair.surrogate.as_array()
+    n = pair.domain_dim
+    rng = np.random.default_rng(size)
+    for tau, mu_g, mu_f in ((0.05, 0.0, 0.0), (0.3, 0.5, 0.2), (1.5, 0.1, 0.6)):
+        solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
+        assert solver.backend == "woodbury"
+        a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
+        lu = scipy.linalg.lu_factor(a * b * np.eye(n) + tau**2 * v_mat.T @ a_mat)
+        rx = rng.standard_normal(n)
+        ry = rng.standard_normal(pair.codomain_dim)
+
+        v_ref = scipy.linalg.lu_solve(lu, b * rx - tau * v_mat.T @ ry)
+        ref = np.concatenate([v_ref, (ry + tau * a_mat @ v_ref) / b])
+        got = np.concatenate(solver.solve(rx, ry))
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        v_ref = scipy.linalg.lu_solve(lu, b * rx + tau * a_mat.T @ ry, trans=1)
+        ref = np.concatenate([v_ref, (ry - tau * v_mat @ v_ref) / b])
+        got = np.concatenate(solver.solve_transpose(rx, ry))
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_csv_round_trip(tmp_path):

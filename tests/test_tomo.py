@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mismatch_splitting.operators import FunctionOperator, adjoint_defect
+from mismatch_splitting.operators import FunctionOperator, adjoint_defect, dct_matrix
 from mismatch_splitting.tomo import (
+    NeumannGradient,
     ParallelGeometry,
     build_projector_pair,
     gradient_matrix,
@@ -50,6 +51,17 @@ def test_gradient_matches_manual_differences():
     assert np.allclose(dy[-1, :], 0.0)
     # constants are in the kernel
     assert np.allclose(gradient_matrix(n) @ np.ones(n * n), 0.0)
+
+
+def test_neumann_gradient_is_diagonalised_by_the_dct():
+    n = 6
+    grad = NeumannGradient(n)
+    assert (grad.matrix != gradient_matrix(n)).nnz == 0
+    basis = np.kron(dct_matrix(n), dct_matrix(n))
+    assert np.allclose(basis @ basis.T, np.eye(n * n), atol=1e-14)
+    laplacian = (grad.matrix.T @ grad.matrix).toarray()
+    expected = basis.T @ np.diag(grad.dct_eigenvalues.ravel()) @ basis
+    assert np.allclose(laplacian, expected, atol=1e-12)
 
 
 def test_single_pixel_single_ray_geometry():
