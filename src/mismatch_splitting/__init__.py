@@ -49,10 +49,7 @@ from .solvers import (
     StoppingRule,
     gaussian_state,
     run,
-    step_adapted_pddr,
-    step_cp_mismatched,
     step_lifted_ppp,
-    step_pddr,
     zero_state,
 )
 from .stepsize import (

@@ -350,6 +350,7 @@ def run_tomography(config=None):
         "tau": tau,
         "theta": theta,
         "predicted_rate": stepsize.predicted_rate(plan),
+        "empirical_rate": _empirical_rate(mm.residuals),
         "error_bound": bound,
         "final_residuals": {name: (runs[name].residuals[-1] if runs[name].residuals else None)
                             for name in runs},

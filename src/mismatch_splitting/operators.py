@@ -9,7 +9,6 @@ in the pair.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +27,13 @@ _CAPACITANCE_BATCH = 256
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration did not reach the requested tolerance."""
+    """An operator norm estimate did not reach the requested tolerance.
+
+    Raised by estimate_operator_norm when ARPACK does not converge or its
+    Ritz pair fails the residual check; ``best_estimate`` is the norm
+    estimate and ``residual`` the Gram residual ||G u - lambda u|| behind it.
+    The name is kept from the power iteration it replaced.
+    """
 
     def __init__(self, message, best_estimate, residual):
         super().__init__(message)
@@ -223,42 +228,66 @@ def adjoint_defect(op, rng, n_trials=100):
 
 
 def estimate_operator_norm(op, tol=1e-9, max_iters=5000):
-    """Spectral norm of ``op`` by power iteration on M^T M.
+    """Spectral norm of ``op``: sqrt of the largest eigenvalue lambda of the
+    Gram operator G of its smaller side (M^T M, or M M^T when the codomain is
+    smaller), found by ARPACK Lanczos (``eigsh``, at most ``max_iters``
+    restarts).
 
-    Deterministic seeded start; returns exactly 0.0 for the zero operator.
-    Raises PowerIterationError (carrying the best estimate and residual)
-    if the relative-change criterion is not met within ``max_iters``.
+    Deterministic seeded start, mapped through M for the codomain side;
+    returns exactly 0.0 for the zero operator, and the norm of the single
+    column or row directly when a side has dimension 1.  The result is
+    accepted only when the Ritz pair (lambda, u) has residual
+    ||G u - lambda u|| <= tol * lambda; otherwise, or when ARPACK does not
+    converge, PowerIterationError carries the best estimate and residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    n, m = op.domain_dim, op.codomain_dim
+    if n == 1:
+        return float(np.linalg.norm(op.apply(np.ones(1))))
+    if m == 1:
+        return float(np.linalg.norm(op.apply_adjoint(np.ones(1))))
     rng = np.random.default_rng(POWER_SEED)
-    x = rng.standard_normal(op.domain_dim)
-    x /= np.linalg.norm(x)
+    x = rng.standard_normal(n)
+    y = op.apply(x)
     # two independent probes distinguish the zero operator from an unlucky start
-    if np.linalg.norm(op.apply(x)) == 0.0:
-        probe = rng.standard_normal(op.domain_dim)
-        if np.linalg.norm(op.apply(probe)) == 0.0:
-            return 0.0
-        x = probe / np.linalg.norm(probe)
-
-    sigma = 0.0
-    for _ in range(max_iters):
+    if np.linalg.norm(y) == 0.0:
+        x = rng.standard_normal(n)
         y = op.apply(x)
-        sigma_new = float(np.linalg.norm(y))
-        z = op.apply_adjoint(y)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return sigma_new
-        x = z / nz
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    residual = float(np.linalg.norm(op.apply_adjoint(op.apply(x)) - sigma**2 * x))
+        if np.linalg.norm(y) == 0.0:
+            return 0.0
+
+    if n <= m:
+        v0 = x
+        gram = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda u: op.apply_adjoint(op.apply(u)), dtype=float)
+    else:
+        v0 = y
+        gram = scipy.sparse.linalg.LinearOperator(
+            (m, m), matvec=lambda u: op.apply(op.apply_adjoint(u)), dtype=float)
+    try:
+        lams, vecs = scipy.sparse.linalg.eigsh(
+            gram, k=1, which="LA", v0=v0, tol=tol, maxiter=max_iters)
+        cause = None
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        lams, vecs, cause = exc.eigenvalues, exc.eigenvectors, exc
+    if lams.size:
+        lam, u = float(lams[-1]), vecs[:, -1]
+    else:
+        # nothing converged: fall back on the Rayleigh quotient of the start
+        u = v0 / np.linalg.norm(v0)
+        lam = float(u @ gram.matvec(u))
+    residual = float(np.linalg.norm(gram.matvec(u) - lam * u))
+    if cause is None and residual <= tol * lam:
+        return math.sqrt(lam)
+    reason = (f"ARPACK did not converge within max_iters = {max_iters}" if cause is not None
+              else "the Ritz residual is above tol * lambda")
     raise PowerIterationError(
-        f"operator norm estimate did not converge within {max_iters} iterations",
-        best_estimate=sigma,
+        f"operator norm estimate: {reason} (residual {residual:.3e}, "
+        f"lambda {lam:.6g}, tol {tol:g})",
+        best_estimate=math.sqrt(max(lam, 0.0)),
         residual=residual,
-    )
+    ) from cause
 
 
 @dataclass
@@ -269,7 +298,6 @@ class MismatchPair:
     surrogate: LinearMap
     _mismatch_norm: float | None = field(default=None, repr=False, compare=False)
     _solver_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
         f, s = self.forward, self.surrogate
@@ -286,7 +314,8 @@ class MismatchPair:
 
     @property
     def mismatch_norm(self):
-        """||A - V||, estimated once by power iteration and cached."""
+        """||A - V||, estimated once by estimate_operator_norm (Lanczos on
+        the Gram operator of the smaller side) and cached."""
         if self._mismatch_norm is None:
             self._mismatch_norm = estimate_operator_norm(self.forward - self.surrogate)
         return self._mismatch_norm
@@ -295,8 +324,7 @@ class MismatchPair:
         return self.surrogate.apply_adjoint(y)
 
     def clear_cache(self):
-        with self._lock:
-            self._solver_cache.clear()
+        self._solver_cache.clear()
         self._mismatch_norm = None
 
     def matched(self):
@@ -305,11 +333,10 @@ class MismatchPair:
 
     def inner_solver(self, tau, mu_g=0.0, mu_f=0.0):
         key = (float(tau), float(mu_g), float(mu_f))
-        with self._lock:
-            solver = self._solver_cache.get(key)
-            if solver is None:
-                solver = InnerSystemSolver(self, tau, mu_g, mu_f)
-                self._solver_cache[key] = solver
+        solver = self._solver_cache.get(key)
+        if solver is None:
+            solver = InnerSystemSolver(self, tau, mu_g, mu_f)
+            self._solver_cache[key] = solver
         return solver
 
 
@@ -344,20 +371,25 @@ class BlockSkewOperator(LinearMap):
         bot = self.pair.surrogate.apply(x) + self.shift_f * y
         return np.concatenate([top, bot])
 
-    def as_sparse(self):
+    @property
+    def matrix(self):
+        """The block matrix: a dense ``np.block`` when both maps carry dense
+        matrices, a sparse ``bmat`` when either is sparse, None when either
+        is matrix-free."""
         ma = self.pair.forward.matrix
         mv = self.pair.surrogate.matrix
         if ma is None or mv is None:
             return None
         n, m = self.pair.domain_dim, self.pair.codomain_dim
-        eye_n = scipy.sparse.eye(n)
-        eye_m = scipy.sparse.eye(m)
+        if not (scipy.sparse.issparse(ma) or scipy.sparse.issparse(mv)):
+            return np.block([[self.shift_g * np.eye(n), mv.T],
+                             [-ma, self.shift_f * np.eye(m)]])
         return scipy.sparse.bmat(
             [
-                [self.shift_g * eye_n, scipy.sparse.csr_matrix(mv).T],
-                [-scipy.sparse.csr_matrix(ma), self.shift_f * eye_m],
+                [self.shift_g * scipy.sparse.eye(n), scipy.sparse.csr_matrix(mv).T],
+                [-scipy.sparse.csr_matrix(ma), self.shift_f * scipy.sparse.eye(m)],
             ],
-            format="csc",
+            format="csr",
         )
 
 

@@ -7,6 +7,7 @@ iteration kept as an equivalence oracle.
 from __future__ import annotations
 
 import csv
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -181,18 +182,6 @@ class CPStepper:
         return SolverState(x_new, y_new, x_new.copy(), y_new.copy(), x_new.copy(), y_new.copy(), state.k + 1)
 
 
-def step_pddr(problem, state, tau, theta, mode="mismatched"):
-    return PDDRStepper(problem, tau, theta, mode=mode).step(state)
-
-
-def step_adapted_pddr(problem, state, tau, theta, mu_g, mu_f):
-    return PDDRStepper(problem, tau, theta, mode="mismatched", mu_g=mu_g, mu_f=mu_f).step(state)
-
-
-def step_cp_mismatched(problem, state, tau_p, sigma_d, theta_cp=1.0):
-    return CPStepper(problem, tau_p, sigma_d, theta_cp).step(state)
-
-
 def step_lifted_ppp(problem, lifted, tau):
     """One step of the reduced preconditioned proximal point iteration.
 
@@ -235,8 +224,9 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
         objective: Optional[Callable[[np.ndarray], float]] = None,
         trace_sink=None, extra_metrics=None):
     """Iterate ``stepper`` until the fixed-point residual drops below
-    tolerance, the primal norm crosses the divergence threshold, or
-    max_iters is reached.
+    tolerance, the run diverges (a non-finite or too large primal iterate,
+    or a non-finite residual, which catches non-finite governing or dual
+    iterates), or max_iters is reached.
 
     The residual is ||(p,q)^{k+1} - (p,q)^k|| / theta for PDDR-type steppers,
     which equals the fixed-point defect ||(v,w) - (x,y)||.  Trace records are
@@ -285,7 +275,8 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
             result.state = state
             residual = float(np.linalg.norm(stepper.governing(state) - prev)) / stepper.residual_scale
             record(state, residual)
-            if not np.all(np.isfinite(state.x)) or np.linalg.norm(state.x) > stopping.divergence_threshold:
+            if (not math.isfinite(residual) or not np.all(np.isfinite(state.x))
+                    or np.linalg.norm(state.x) > stopping.divergence_threshold):
                 result.status = "diverged"
                 break
             if residual <= stopping.fixed_point_tol:

@@ -96,6 +96,12 @@ def test_tomography_objective_is_the_smoothed_one_solved():
     assert finals["matched"] < min(finals["mismatched"], finals["adapted"])
 
 
+def test_tomography_reports_empirical_rate():
+    report = run_tomography(TomoConfig(image_size=16, num_angles=4, seed=3))
+    rate = report.summary["empirical_rate"]
+    assert 0.0 < rate <= report.summary["predicted_rate"] + 0.02
+
+
 def test_run_quadratic_adapted_agrees_with_mismatched():
     report = run_quadratic(small_quadratic())
     # both converge to the same fixed point of the mismatched inclusion

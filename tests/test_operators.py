@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from mismatch_splitting.operators import (
@@ -93,6 +94,42 @@ def test_operator_norm_nonconvergence_carries_estimate():
     assert exc.value.residual >= 0.0
 
 
+def test_operator_norm_matches_dense_svd_on_projector_pair():
+    # each estimate must reach the dense SVD, not stop short of it
+    pair = build_projector_pair(ParallelGeometry(16, 6, 16)).mismatch_pair()
+    block = BlockSkewOperator(pair, 0.7, 0.3)
+    for op in (pair.forward, pair.surrogate, pair.forward - pair.surrogate, block):
+        ref = float(np.linalg.svd(op.as_array(), compute_uv=False)[0])
+        assert abs(estimate_operator_norm(op) - ref) <= 1e-10 * ref
+
+
+def test_operator_norm_wide_matrix_uses_codomain_gram():
+    mat = np.random.default_rng(5).standard_normal((6, 50))
+    calls = []
+
+    def forward(x):
+        calls.append("apply")
+        return mat @ x
+
+    def adjoint(y):
+        calls.append("adjoint")
+        return mat.T @ y
+
+    ref = float(np.linalg.svd(mat, compute_uv=False)[0])
+    assert abs(estimate_operator_norm(FunctionOperator(50, 6, forward, adjoint)) - ref) <= 1e-12 * ref
+    # after the zero probe, Lanczos runs on M M^T (6 x 6): adjoint first
+    assert calls[:3] == ["apply", "adjoint", "apply"]
+
+
+def test_operator_norm_arpack_nonconvergence_raises():
+    op = random_matrix_op(3, 200, 200)
+    with pytest.raises(PowerIterationError) as exc:
+        estimate_operator_norm(op, tol=1e-30, max_iters=1)
+    assert isinstance(exc.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
+    assert exc.value.best_estimate > 0.0
+    assert exc.value.residual > 0.0
+
+
 def test_projector_mismatch_norm_matches_dense_svd():
     geom = ParallelGeometry(32, 10, 32)
     pair = build_projector_pair(geom).mismatch_pair()
@@ -110,6 +147,22 @@ def test_mismatch_pair_matched_has_zero_norm():
     op = random_matrix_op(0, 5, 7)
     pair = MismatchPair(op, op)
     assert pair.mismatch_norm == 0.0
+
+
+@pytest.mark.parametrize("kind", ["dense", "projector"])
+def test_block_skew_matrix_equals_column_build(kind):
+    if kind == "dense":
+        from mismatch_splitting.experiments import QuadraticConfig, _quadratic_operators
+
+        a, v, _ = _quadratic_operators(QuadraticConfig())
+        pair = MismatchPair(MatrixOperator(a), MatrixOperator(v))
+    else:
+        pair = build_projector_pair(ParallelGeometry(16, 10, 16)).mismatch_pair()
+    block = BlockSkewOperator(pair, 0.7, 0.3)
+    assert scipy.sparse.issparse(block.matrix) == (kind == "projector")
+    columns = np.column_stack([block.apply(e) for e in np.eye(block.domain_dim)])
+    # equal entries, so the dense-path sigma_min is bit-identical too
+    assert np.array_equal(block.as_array(), columns)
 
 
 def test_sigma_min_identity_block():

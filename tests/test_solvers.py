@@ -179,6 +179,32 @@ def test_run_divergence_status():
     assert result.status == "diverged"
 
 
+class _DualNaNStepper:
+    """Shrinks p each step and sets q to NaN at step 3; x stays finite."""
+
+    residual_scale = 1.0
+
+    def governing(self, state):
+        return np.concatenate([state.p, state.q])
+
+    def step(self, state):
+        new = state.copy()
+        new.k += 1
+        new.p *= 0.5
+        if new.k == 3:
+            new.q[:] = np.nan
+        return new
+
+
+def test_run_non_finite_dual_is_diverged():
+    problem, *_ = quadratic_problem(12)
+    result = run(problem, _DualNaNStepper(), StoppingRule(50, 1e-14),
+                 initial_state=gaussian_state(problem, seed=3))
+    assert result.status == "diverged"
+    assert result.iterations == 3
+    assert np.all(np.isfinite(result.state.x))
+
+
 def test_run_trace_csv_sink():
     problem, *_ = quadratic_problem(10)
     sink = io.StringIO()
