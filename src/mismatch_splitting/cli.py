@@ -15,14 +15,7 @@ import click
 import numpy as np
 
 from . import analysis, experiments, solvers, stepsize
-from .operators import (
-    BlockSkewOperator,
-    MismatchPair,
-    ScaledIdentity,
-    estimate_operator_norm,
-    estimate_sigma_min,
-    load_operator_csv,
-)
+from .operators import MismatchPair, ScaledIdentity, load_operator_csv
 from .proximal import prox_scaled_quadratic
 
 EXIT_OK = 0
@@ -159,11 +152,7 @@ def stepsize_cmd(config_path, out_dir, seed, full_scale):
         d = float(data["mismatch_norm"])
         pair = MismatchPair(ScaledIdentity(1, d), ScaledIdentity(1, 0.0))
 
-    profile = stepsize.ConvexityProfile(gamma_g, gamma_f, pair.mismatch_norm)
-    _, mu_tg, _, mu_tf = stepsize.select_mus(profile)
-    block = BlockSkewOperator(pair, mu_tg, mu_tf)
-    plan = stepsize.compute_plan(
-        profile, theta, estimate_sigma_min(block), estimate_operator_norm(block))
+    plan, _ = experiments.certified_plan(pair, gamma_g, gamma_f, theta)
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "stepsize_plan.json")

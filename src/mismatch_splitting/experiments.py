@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analysis, solvers, stepsize, tomo
 from .operators import (
+    DENSE_DIM_LIMIT,
     BlockSkewOperator,
     MatrixOperator,
     MismatchPair,
@@ -74,6 +75,40 @@ class RunReport:
         return any(s == "diverged" for s in self.statuses.values())
 
 
+def certified_plan(pair, gamma_g, gamma_f, theta):
+    """Certified step-size plan for ``pair`` and the moduli of G and F*, and
+    the (||A||, ||V||) it estimated.
+
+    The operator inputs are ||A - V|| (``pair.mismatch_norm``, estimated
+    first), ||A|| and ||V||; sigma_min and the norm of the shifted skew block
+    follow from them in closed form (stepsize.sigma_min_lower_bound,
+    stepsize.block_norm_upper_bound).  Raises CertificateError unless
+    gamma_g * gamma_f > ||A-V||^2 / 4.
+    """
+    d = pair.mismatch_norm
+    profile = stepsize.ConvexityProfile(gamma_g, gamma_f, d)
+    _, mu_tg, _, mu_tf = stepsize.select_mus(profile)
+    norms = (estimate_operator_norm(pair.forward), estimate_operator_norm(pair.surrogate))
+    plan = stepsize.compute_plan(profile, theta,
+                                 stepsize.sigma_min_lower_bound(mu_tg, mu_tf, d),
+                                 stepsize.block_norm_upper_bound(mu_tg, mu_tf, *norms))
+    return plan, norms
+
+
+def _plan_summary(pair, plan):
+    """Summary entries of a certified plan.  Under ``spectral``: its
+    closed-form bounds on sigma_min and ||B_sigma||, and, for a shifted skew
+    block of at most DENSE_DIM_LIMIT rows, the dense-SVD sigma_min and the
+    ratio of the bound to it."""
+    spectral = {"sigma_lower_bound": plan.sigma, "b_sigma_upper_bound": plan.b_sigma_norm}
+    block = BlockSkewOperator(pair, plan.mu_tilde_g, plan.mu_tilde_f)
+    if block.domain_dim <= DENSE_DIM_LIMIT:
+        sigma = estimate_sigma_min(block)
+        spectral.update(sigma_min=sigma, sigma_bound_ratio=plan.sigma / sigma)
+    return {"mismatch_norm": pair.mismatch_norm, "tau": plan.tau, "theta": plan.theta,
+            "predicted_rate": stepsize.predicted_rate(plan), "spectral": spectral}
+
+
 def _trace_from_result(result):
     """Flatten a RunResult into (columns, rows) with extras appended."""
     columns = list(solvers.TRACE_COLUMNS)
@@ -85,13 +120,40 @@ def _trace_from_result(result):
     return tuple(columns), rows
 
 
-def _inner_backends(steppers):
-    """Per named PDDR stepper: its inner solver's backend and reciprocal
-    condition estimate, and apart from them, because wall time is not
-    deterministic, its factorisation time in seconds."""
-    inner = {name: st.inner_solver for name, st in steppers.items()}
-    return ({name: {"backend": s.backend, "rcond": s.rcond} for name, s in inner.items()},
-            {name: s.factor_s for name, s in inner.items()})
+def _run_suite(report, problem, plan, norms, stopping, objective, x_ref,
+               matched_ref, extra_metrics=None):
+    """Matched, mismatched and adapted PDDR with the plan's step, then the
+    surrogate-adjoint Chambolle-Pock baseline with step 0.95/sqrt(||A|| ||V||).
+
+    The matched run is measured against ``matched_ref``, the others against
+    ``x_ref`` and with ``extra_metrics``.  Statuses, traces and inner
+    factorisation times go into ``report``.  Returns the results, the
+    steppers and the summary entries ``cp_step`` and ``inner_backend``.
+    """
+    tau, theta = plan.tau, plan.theta
+    step_cp = 0.95 / math.sqrt(norms[0] * norms[1])
+    steppers = {
+        "matched": solvers.PDDRStepper(problem, tau, theta, mode="matched"),
+        "mismatched": solvers.PDDRStepper(problem, tau, theta),
+        "adapted": solvers.PDDRStepper(problem, tau, theta,
+                                       mu_g=plan.mu_tilde_g, mu_f=plan.mu_tilde_f),
+        "cp": solvers.CPStepper(problem, step_cp, step_cp),
+    }
+    runs = {}
+    for name, stepper in steppers.items():
+        matched = name == "matched"
+        res = solvers.run(problem, stepper, stopping, x_ref=matched_ref if matched else x_ref,
+                          objective=objective, extra_metrics=None if matched else extra_metrics)
+        runs[name] = res
+        report.statuses[name] = res.status
+        report.traces[name] = _trace_from_result(res)
+    inner = {name: st.inner_solver for name, st in steppers.items() if name != "cp"}
+    report.timings["inner_factor_s"] = {name: s.factor_s for name, s in inner.items()}
+    return runs, steppers, {
+        "cp_step": step_cp,
+        "inner_backend": {name: {"backend": s.backend, "rcond": s.rcond}
+                          for name, s in inner.items()},
+    }
 
 
 def _empirical_rate(values, window=100, floor=1e-14):
@@ -171,19 +233,12 @@ def run_quadratic(config=None):
     config = config or QuadraticConfig()
     a_mat, v_mat, z = _quadratic_operators(config)
     pair = MismatchPair(MatrixOperator(a_mat), MatrixOperator(v_mat))
-    d = pair.mismatch_norm
+    plan, norms = certified_plan(pair, config.alpha, config.beta, config.theta)
+    plan_summary = _plan_summary(pair, plan)
 
     prox_g = prox_scaled_quadratic(config.alpha)
     prox_f = prox_scaled_quadratic(config.beta, shift=z)
     problem = solvers.SaddleProblem(prox_g, prox_f, pair)
-
-    profile = stepsize.ConvexityProfile(config.alpha, config.beta, d)
-    mu_g, mu_tg, mu_f, mu_tf = stepsize.select_mus(profile)
-    block = BlockSkewOperator(pair, mu_tg, mu_tf)
-    b_norm = estimate_operator_norm(block)
-    sigma = estimate_sigma_min(block)
-    plan = stepsize.compute_plan(profile, config.theta, sigma, b_norm)
-    tau, theta = plan.tau, plan.theta
 
     x_hat, y_hat, x_star = analysis.quadratic_reference(
         a_mat, v_mat, config.alpha, config.beta, z)
@@ -197,45 +252,17 @@ def run_quadratic(config=None):
     dist_true = {"dist_to_true": lambda s: np.linalg.norm(s.x - x_star)}
 
     report = RunReport(experiment="quadratic", config=asdict(config), plan=plan.as_dict())
-    runs = {}
-    specs = {
-        "matched": (solvers.PDDRStepper(problem, tau, theta, mode="matched"), x_star, None),
-        "mismatched": (solvers.PDDRStepper(problem, tau, theta), x_hat, dist_true),
-        "adapted": (solvers.PDDRStepper(problem, tau, theta, mu_g=mu_tg, mu_f=mu_tf),
-                    x_hat, dist_true),
-    }
-    for name, (stepper, x_ref, extras) in specs.items():
-        res = solvers.run(problem, stepper, stopping, x_ref=x_ref,
-                          objective=objective, extra_metrics=extras)
-        runs[name] = res
-        report.statuses[name] = res.status
-        report.traces[name] = _trace_from_result(res)
-
-    norm_a = estimate_operator_norm(pair.forward)
-    norm_v = estimate_operator_norm(pair.surrogate)
-    step_cp = 0.95 / math.sqrt(norm_a * norm_v)
-    cp = solvers.CPStepper(problem, step_cp, step_cp)
-    res_cp = solvers.run(problem, cp, stopping, x_ref=x_hat,
-                         objective=objective, extra_metrics=dist_true)
-    runs["cp"] = res_cp
-    report.statuses["cp"] = res_cp.status
-    report.traces["cp"] = _trace_from_result(res_cp)
-
+    runs, _, suite = _run_suite(report, problem, plan, norms, stopping, objective,
+                                x_hat, x_star, dist_true)
     mm = runs["mismatched"]
-    backends, factor_s = _inner_backends({name: spec[0] for name, spec in specs.items()})
-    report.timings["inner_factor_s"] = factor_s
     report.summary = {
-        "mismatch_norm": d,
-        "tau": tau,
-        "theta": theta,
-        "predicted_rate": stepsize.predicted_rate(plan),
+        **plan_summary,
         "empirical_rate": _empirical_rate(mm.distances),
         "error_bound": bound,
         "fixed_point_gap": float(np.linalg.norm(x_hat - x_star)),
         "terminal_dist_to_fixed_point": float(np.linalg.norm(mm.state.x - x_hat)),
         "terminal_dist_to_true": float(np.linalg.norm(mm.state.x - x_star)),
-        "cp_step": step_cp,
-        "inner_backend": backends,
+        **suite,
     }
     return report
 
@@ -273,32 +300,21 @@ def run_tomography(config=None):
     geom = tomo.ParallelGeometry(config.image_size, config.num_angles, num_bins)
     proj = tomo.build_projector_pair(geom)
     pair = proj.mismatch_pair()
-    d = pair.mismatch_norm
+    # G = lam2/2 |x|^2; F* is 1/lam0-strongly convex on the data part and
+    # eps-strongly convex on the gradient part
+    plan, norms = certified_plan(
+        pair, config.lam2, min(1.0 / config.lam0, config.eps), config.theta)
+    plan_summary = _plan_summary(pair, plan)
 
     n_pix = config.image_size ** 2
     phantom = tomo.shepp_logan_phantom(config.image_size)
     rng = np.random.default_rng(config.seed)
     z = tomo.make_sinogram(proj.radon_forward, phantom, config.noise_rel, rng)
 
-    gamma_f = min(1.0 / config.lam0, config.eps)
-    profile = stepsize.ConvexityProfile(config.lam2, gamma_f, d)
-    if not profile.exists_unique:
-        raise stepsize.CertificateError(
-            f"existence condition fails: lam2 * min(1/lam0, eps) = "
-            f"{config.lam2 * gamma_f:.4g} <= ||A-V||^2/4 = {0.25 * d * d:.4g}"
-        )
-
     prox_g = prox_scaled_quadratic(config.lam2)
     prox_f = huber_tv_prox(config.lam0, config.lam1, config.eps, z,
                            geom.sinogram_size, n_pix)
     problem = solvers.SaddleProblem(prox_g, prox_f, pair)
-
-    mu_g, mu_tg, mu_f, mu_tf = stepsize.select_mus(profile)
-    block = BlockSkewOperator(pair, mu_tg, mu_tf)
-    b_norm = estimate_operator_norm(block)
-    sigma = estimate_sigma_min(block)
-    plan = stepsize.compute_plan(profile, config.theta, sigma, b_norm)
-    tau, theta = plan.tau, plan.theta
 
     grad_mat = proj.gradient.matrix
     radon_mat = proj.radon_forward.matrix
@@ -319,56 +335,33 @@ def run_tomography(config=None):
     stopping = solvers.StoppingRule(config.max_iters, config.fixed_point_tol)
 
     report = RunReport(experiment="tomo", config=asdict(config), plan=plan.as_dict())
-    runs = {}
-    specs = {
-        "matched": solvers.PDDRStepper(problem, tau, theta, mode="matched"),
-        "mismatched": solvers.PDDRStepper(problem, tau, theta),
-        "adapted": solvers.PDDRStepper(problem, tau, theta, mu_g=mu_tg, mu_f=mu_tf),
-    }
     x_ref = phantom.ravel()
-    for name, stepper in specs.items():
-        res = solvers.run(problem, stepper, stopping, x_ref=x_ref, objective=objective)
-        runs[name] = res
-        report.statuses[name] = res.status
-        report.traces[name] = _trace_from_result(res)
-
-    norm_a = estimate_operator_norm(pair.forward)
-    norm_v = estimate_operator_norm(pair.surrogate)
-    step_cp = 0.95 / math.sqrt(norm_a * norm_v)
-    cp = solvers.CPStepper(problem, step_cp, step_cp)
-    res_cp = solvers.run(problem, cp, stopping, x_ref=x_ref, objective=objective)
-    runs["cp"] = res_cp
-    report.statuses["cp"] = res_cp.status
-    report.traces["cp"] = _trace_from_result(res_cp)
-
+    runs, steppers, suite = _run_suite(report, problem, plan, norms, stopping, objective,
+                                       x_ref, x_ref)
     mm = runs["mismatched"]
     bound = analysis.error_bound(problem, mm.state.y, gamma_g=config.lam2)
-    backends, factor_s = _inner_backends(specs)
-    report.timings["inner_factor_s"] = factor_s
     report.summary = {
-        "mismatch_norm": d,
-        "tau": tau,
-        "theta": theta,
-        "predicted_rate": stepsize.predicted_rate(plan),
+        **plan_summary,
         "empirical_rate": _empirical_rate(mm.residuals),
         "error_bound": bound,
-        "final_residuals": {name: (runs[name].residuals[-1] if runs[name].residuals else None)
-                            for name in runs},
-        "cp_step": step_cp,
-        "inner_backend": backends,
+        # the matched run stands in for x*, the point the bound is about
+        "dist_mismatched_to_matched": float(
+            np.linalg.norm(mm.state.x - runs["matched"].state.x)),
+        "final_residuals": {name: (res.residuals or [None])[-1] for name, res in runs.items()},
+        **suite,
     }
 
     shape = (config.image_size, config.image_size)
     report.images["phantom"] = phantom
     report.images["sinogram"] = z.reshape(config.num_angles, num_bins)
-    for name in ("matched", "mismatched", "adapted", "cp"):
-        report.images[f"recon_{name}"] = runs[name].state.x.reshape(shape)
+    for name, res in runs.items():
+        report.images[f"recon_{name}"] = res.state.x.reshape(shape)
 
     if config.with_oracle:
         oracle_stop = solvers.StoppingRule(
             config.max_iters * config.oracle_factor,
             max(config.fixed_point_tol * 1e-3, 1e-14))
-        oracle = solvers.run(problem, specs["mismatched"], oracle_stop,
+        oracle = solvers.run(problem, steppers["mismatched"], oracle_stop,
                              x_ref=x_ref, objective=objective)
         report.statuses["oracle"] = oracle.status
         report.summary["oracle_dist"] = float(np.linalg.norm(mm.state.x - oracle.state.x))

@@ -393,52 +393,19 @@ class BlockSkewOperator(LinearMap):
         )
 
 
-def estimate_sigma_min(block, tol=1e-8, max_iters=5000):
-    """Smallest singular value of a BlockSkewOperator.
+def estimate_sigma_min(block):
+    """Smallest singular value of a BlockSkewOperator by dense SVD.
 
-    Dense SVD for total dimension <= DENSE_DIM_LIMIT; otherwise Lanczos on
-    B^{-1} B^{-T} with both solves done by the InnerSystemSolver of the
-    block (tau = 1, mu_g = shift_g - 1, mu_f = shift_f - 1, so that the
-    diagonals are the shifts; requires matrix-backed maps and positive
-    shifts).  A block that cannot be factored raises
-    SingularInnerSystemError instead of reporting sigma_min = 0.
+    A diagnostic for blocks of at most DENSE_DIM_LIMIT total rows, reported
+    next to the closed-form bound that the step-size plan uses; larger
+    blocks raise ValueError and should use stepsize.sigma_min_lower_bound.
     """
-    total = block.domain_dim
-    if total <= DENSE_DIM_LIMIT:
-        dense = block.as_array()
-        return float(np.linalg.svd(dense, compute_uv=False)[-1])
-
-    g, f = block.shift_g, block.shift_f
-    try:
-        solver = InnerSystemSolver(block.pair, 1.0, g - 1.0, f - 1.0)
-    except SingularInnerSystemError as exc:
-        raise SingularInnerSystemError(
-            f"sigma_min: the shifted skew block [[g I, V*], [-A, f I]] with "
-            f"g = {g:.6g}, f = {f:.6g} is singular to working precision, so no "
-            f"linear rate can be certified for these shifts ({exc})"
-        ) from exc
-    if solver.backend == "iterative":
-        raise ValueError("sigma_min above the dense threshold needs matrix-backed operators")
-    n = block.pair.domain_dim
-
-    def matvec(z):
-        return np.concatenate(solver.solve(*solver.solve_transpose(z[:n], z[n:])))
-
-    rng = np.random.default_rng(POWER_SEED)
-    v0 = rng.standard_normal(total)
-    # B^{-1} B^{-T} is symmetric positive definite; its largest eigenvalue
-    # is 1/sigma_min^2 and Lanczos is robust to small spectral gaps
-    op = scipy.sparse.linalg.LinearOperator((total, total), matvec=matvec)
-    try:
-        lam = scipy.sparse.linalg.eigsh(
-            op, k=1, which="LM", v0=v0, tol=tol, maxiter=max_iters,
-            return_eigenvectors=False,
-        )[0]
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        if exc.eigenvalues.size == 0:
-            raise
-        lam = exc.eigenvalues[-1]
-    return 1.0 / math.sqrt(float(lam))
+    if block.domain_dim > DENSE_DIM_LIMIT:
+        raise ValueError(
+            f"sigma_min by dense SVD needs at most DENSE_DIM_LIMIT = {DENSE_DIM_LIMIT} "
+            f"rows, the block has {block.domain_dim}; use the closed-form bound "
+            "stepsize.sigma_min_lower_bound instead")
+    return float(np.linalg.svd(block.as_array(), compute_uv=False)[-1])
 
 
 def dct_matrix(n):
@@ -463,10 +430,8 @@ def _dense_lu(mat):
 class InnerSystemSolver:
     """Factored solver for the 2x2 block system [[a I, tau V*], [-tau A, b I]].
 
-    ``solve`` solves the system and ``solve_transpose`` its transpose, both
-    by Schur-complement elimination, with a = 1 + tau*mu_g and
-    b = 1 + tau*mu_f (the system of one PDDR iteration; tau = 1 and
-    mu = shift - 1 give BlockSkewOperator).
+    ``solve`` solves the system by Schur-complement elimination, with
+    a = 1 + tau*mu_g and b = 1 + tau*mu_f: the system of one PDDR iteration.
     The Schur complement is factored once, on construction, by a backend
     chosen from the structure of the pair (``backend``):
 
@@ -481,8 +446,7 @@ class InnerSystemSolver:
     - ``"sparse"``: SuperLU, when that Schur complement is sparse and larger
       than DENSE_DIM_LIMIT (no condition estimate; only an exactly zero
       pivot is reported singular).
-    - ``"iterative"``: matrix-free lgmres when an operator has no matrix
-      (no transpose solve).
+    - ``"iterative"``: matrix-free lgmres when an operator has no matrix.
 
     Each LAPACK LU is guarded by its dgecon estimate ``rcond``; below
     RCOND_FLOOR the system is reported singular.  ``factor_s`` is the
@@ -593,7 +557,6 @@ class InnerSystemSolver:
         self._dct = (dct_matrix(rows), dct_matrix(cols))
         self._base_eig = self.a * self.b + t2 * np.reshape(grad.dct_eigenvalues, (rows, cols))
         self._r = (r_a, _transposed(r_v))
-        self._r_transposed = (r_v, _transposed(r_a))
         k = r_a.shape[0]
         cap = np.eye(k) / t2
         for lo in range(0, k, _CAPACITANCE_BATCH):
@@ -623,20 +586,17 @@ class InnerSystemSolver:
                 return ab * v + t2 * pair.apply_surrogate_adjoint(pair.forward.apply(v))
         return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv)
 
-    def _schur_solve(self, rhs, transpose=False):
+    def _schur_solve(self, rhs):
         if self.backend == "woodbury":
-            # y = B^{-1} r, s = C^{-1} R_A y, v = B^{-1} (r - R_V^T s); the
-            # transpose swaps R_A and R_V and uses C^T
-            left, right_t = self._r_transposed if transpose else self._r
+            # y = B^{-1} r, s = C^{-1} R_A y, v = B^{-1} (r - R_V^T s)
+            r_a, r_v_t = self._r
             y = self._base_solve(rhs)
-            s = scipy.linalg.lu_solve(self._lu, left @ y, trans=int(transpose))
-            return self._base_solve(rhs - right_t @ s)
+            s = scipy.linalg.lu_solve(self._lu, r_a @ y)
+            return self._base_solve(rhs - r_v_t @ s)
         if self.backend == "dense":
-            return scipy.linalg.lu_solve(self._lu, rhs, trans=int(transpose))
+            return scipy.linalg.lu_solve(self._lu, rhs)
         if self.backend == "sparse":
-            return self._lu.solve(rhs, trans="T" if transpose else "N")
-        if transpose:
-            raise ValueError("the matrix-free inner solver has no transpose solve")
+            return self._lu.solve(rhs)
         sol, info = scipy.sparse.linalg.lgmres(self._op, rhs, rtol=1e-13, atol=0.0, maxiter=2000)
         if info != 0:
             raise SingularInnerSystemError(
@@ -657,19 +617,6 @@ class InnerSystemSolver:
             rhs = b * rhs_x - tau * pair.apply_surrogate_adjoint(rhs_y)
             v = self._schur_solve(rhs)
             w = (rhs_y + tau * pair.forward.apply(v)) / b
-        return v, w
-
-    def solve_transpose(self, rhs_x, rhs_y):
-        """(v, w) with a v - tau A^T w = rhs_x and tau V v + b w = rhs_y."""
-        tau, a, b = self.tau, self.a, self.b
-        pair = self.pair
-        if self.eliminate_primal:
-            w = self._schur_solve(a * rhs_y - tau * pair.surrogate.apply(rhs_x), transpose=True)
-            v = (rhs_x + tau * pair.forward.apply_adjoint(w)) / a
-        else:
-            v = self._schur_solve(b * rhs_x + tau * pair.forward.apply_adjoint(rhs_y),
-                                  transpose=True)
-            w = (rhs_y - tau * pair.surrogate.apply(v)) / b
         return v, w
 
 

@@ -139,8 +139,6 @@ class PDDRStepper:
         self._prox_f = problem.prox_fstar if mu_f == 0.0 else prox_convex_shifted(problem.prox_fstar, mu_f)
         self.inner_solver = pair.inner_solver(tau, mu_g, mu_f)
 
-    residual_scale_attr = "theta"
-
     @property
     def residual_scale(self):
         return abs(self.theta)
@@ -202,22 +200,35 @@ def step_lifted_ppp(problem, lifted, tau):
     return replace(lifted, w_lift=w_new)
 
 
+TRACE_COLUMNS = ("iter", "dist_to_ref", "objective", "residual", "wall_time_ms")
+
+
 @dataclass
 class RunResult:
     status: str  # converged | diverged | max_iters
     state: SolverState
-    residuals: list = field(default_factory=list)
-    distances: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)  # rows of TRACE_COLUMNS
     extras: dict = field(default_factory=dict)
 
     @property
     def iterations(self):
         return self.state.k
 
+    def _column(self, name):
+        i = TRACE_COLUMNS.index(name)
+        return [row[i] for row in self.trace if row[i] is not None]
 
-TRACE_COLUMNS = ("iter", "dist_to_ref", "objective", "residual", "wall_time_ms")
+    @property
+    def residuals(self):
+        return self._column("residual")
+
+    @property
+    def distances(self):
+        return self._column("dist_to_ref")
+
+    @property
+    def objectives(self):
+        return self._column("objective")
 
 
 def run(problem, stepper, stopping, initial_state=None, x_ref=None,
@@ -255,12 +266,6 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
         ms = (time.perf_counter() - t0) * 1e3
         row = (state.k, dist, obj, residual, ms)
         result.trace.append(row)
-        if residual is not None:
-            result.residuals.append(residual)
-        if dist is not None:
-            result.distances.append(dist)
-        if obj is not None:
-            result.objectives.append(obj)
         if extra_metrics:
             for name, fn in extra_metrics.items():
                 result.extras[name].append(float(fn(state)))
@@ -269,11 +274,13 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
 
     try:
         record(state, None)
+        prev = stepper.governing(state)
         for _ in range(stopping.max_iters):
-            prev = stepper.governing(state)
             state = stepper.step(state)
             result.state = state
-            residual = float(np.linalg.norm(stepper.governing(state) - prev)) / stepper.residual_scale
+            governing = stepper.governing(state)
+            residual = float(np.linalg.norm(governing - prev)) / stepper.residual_scale
+            prev = governing
             record(state, residual)
             if (not math.isfinite(residual) or not np.all(np.isfinite(state.x))
                     or np.linalg.norm(state.x) > stopping.divergence_threshold):

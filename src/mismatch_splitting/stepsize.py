@@ -1,8 +1,9 @@
 """Step-size recipe, monotonicity conditions, and linear-rate formulas.
 
-Everything here is a pure function of scalars; the two operator-dependent
-inputs (sigma_min and the norm of the shifted skew block) come from the
-operators module.
+Everything here is a pure function of scalars.  The two inputs about the
+shifted skew block, a lower bound on its smallest singular value and an
+upper bound on its norm, follow in closed form from ||A-V||, ||A|| and ||V||
+(sigma_min_lower_bound, block_norm_upper_bound).
 """
 
 from __future__ import annotations
@@ -69,18 +70,39 @@ def select_mus(profile):
     midpoint between mu_tilde and the strong convexity modulus, on each of
     the primal and dual sides.
     """
+    d = profile.mismatch_norm
     if not profile.exists_unique:
         raise CertificateError(
-            "existence condition gamma_g * gamma_f > ||A-V||^2 / 4 violated; "
+            f"existence condition fails: gamma_g * gamma_f = "
+            f"{profile.gamma_g * profile.gamma_f:.4g} <= ||A-V||^2/4 = {0.25 * d * d:.4g}; "
             "no admissible mu constants"
         )
-    d = profile.mismatch_norm
     ratio = math.sqrt(profile.gamma_g / profile.gamma_f)
     mu_tilde_g = 0.5 * (profile.gamma_g + 0.5 * d * ratio)
     mu_g = 0.5 * (profile.gamma_g + mu_tilde_g)
     mu_tilde_f = 0.5 * (profile.gamma_f + 0.5 * d / ratio)
     mu_f = 0.5 * (profile.gamma_f + mu_tilde_f)
     return mu_g, mu_tilde_g, mu_f, mu_tilde_f
+
+
+def sigma_min_lower_bound(g, f, d):
+    """Lower bound on sigma_min of the shifted skew block [[g I, V*], [-A, f I]]
+    for any pair with ||A - V|| <= d.
+
+    Every singular value is at least the smallest eigenvalue of the
+    symmetric part [[g I, (V-A)^T/2], [(V-A)/2, f I]], which is
+    (g+f)/2 - sqrt(((g-f)/2)^2 + d^2/4), evaluated here without
+    cancellation.  It is positive exactly when g f > d^2/4 and decreases in
+    d, so an upper bound on ||A - V|| gives a rigorous lower bound.
+    """
+    return (g * f - 0.25 * d * d) / (0.5 * (g + f) + math.hypot(0.5 * (g - f), 0.5 * d))
+
+
+def block_norm_upper_bound(g, f, norm_a, norm_v):
+    """Upper bound max(g, f) + max(||A||, ||V||) on the norm of the shifted
+    skew block [[g I, V*], [-A, f I]]: the triangle inequality over its
+    diagonal and off-diagonal parts."""
+    return max(g, f) + max(norm_a, norm_v)
 
 
 def monotonicity_c(mu_g, mu_tilde_g, mu_f, mu_tilde_f):
@@ -108,9 +130,9 @@ def certify_weak(profile, mus, tau, theta):
 def compute_plan(profile, theta, sigma, b_sigma_norm):
     """Step-size recipe for a given theta in (0, 1).
 
-    ``sigma`` is the smallest singular value and ``b_sigma_norm`` the norm
-    of the mu-tilde-shifted skew block; both must be measured on the block
-    built with the mus returned by select_mus(profile).
+    ``sigma`` is a lower bound on the smallest singular value and
+    ``b_sigma_norm`` an upper bound on the norm of the mu-tilde-shifted skew
+    block, the block built with the mus returned by select_mus(profile).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")

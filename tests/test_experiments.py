@@ -102,6 +102,34 @@ def test_tomography_reports_empirical_rate():
     assert 0.0 < rate <= report.summary["predicted_rate"] + 0.02
 
 
+def test_tomography_reports_spectral_bounds_and_guarantee():
+    report = run_tomography(TomoConfig(image_size=16, num_angles=4, seed=3))
+    s = report.summary
+    # the matched run stands in for x*: the a-priori bound must cover it
+    assert 0.0 < s["dist_mismatched_to_matched"] <= s["error_bound"]
+    spectral = s["spectral"]
+    assert spectral["sigma_lower_bound"] == report.plan["sigma"]
+    assert spectral["b_sigma_upper_bound"] == report.plan["b_sigma_norm"]
+    # a 16^2 block (832 rows) is small enough for the dense-SVD diagnostic
+    assert 0.0 < spectral["sigma_bound_ratio"] <= 1.0
+    assert spectral["sigma_min"] * spectral["sigma_bound_ratio"] == pytest.approx(
+        spectral["sigma_lower_bound"], rel=1e-12)
+
+
+def test_tomography_without_existence_raises_certificate_error():
+    from mismatch_splitting.stepsize import CertificateError
+
+    with pytest.raises(CertificateError, match="existence condition"):
+        run_tomography(TomoConfig(image_size=16, num_angles=4, lam2=1e-4))
+
+
+def test_run_quadratic_reports_spectral_slack():
+    spectral = run_quadratic(small_quadratic()).summary["spectral"]
+    assert 0.0 < spectral["sigma_lower_bound"] <= spectral["sigma_min"]
+    assert spectral["sigma_bound_ratio"] == spectral["sigma_lower_bound"] / spectral["sigma_min"]
+    assert spectral["b_sigma_upper_bound"] > 0.0
+
+
 def test_run_quadratic_adapted_agrees_with_mismatched():
     report = run_quadratic(small_quadratic())
     # both converge to the same fixed point of the mismatched inclusion

@@ -178,34 +178,6 @@ def test_sigma_min_scalar_closed_form():
     assert abs(estimate_sigma_min(block) - 0.2807764064044151) <= 1e-10
 
 
-def test_sigma_min_iterative_path_matches_dense(monkeypatch):
-    geom = ParallelGeometry(16, 6, 16)
-    pair = build_projector_pair(geom).mismatch_pair()
-    block = BlockSkewOperator(pair, 0.7, 0.3)
-    dense = float(np.linalg.svd(block.as_array(), compute_uv=False)[-1])
-    monkeypatch.setattr("mismatch_splitting.operators.DENSE_DIM_LIMIT", 10)
-    assert abs(estimate_sigma_min(block) - dense) <= 1e-8 * dense
-
-
-def test_sigma_min_iterative_path_dense_pair(monkeypatch):
-    pair = MismatchPair(random_matrix_op(7, 20, 30), random_matrix_op(8, 20, 30))
-    block = BlockSkewOperator(pair, 0.7, 0.3)
-    dense = float(np.linalg.svd(block.as_array(), compute_uv=False)[-1])
-    monkeypatch.setattr("mismatch_splitting.operators.DENSE_DIM_LIMIT", 10)
-    assert InnerSystemSolver(pair, 1.0, 0.7 - 1.0, 0.3 - 1.0).backend == "dense"
-    assert abs(estimate_sigma_min(block) - dense) <= 1e-8 * dense
-
-
-def test_sigma_min_singular_block_raises(monkeypatch):
-    # A = I, V* = -g f I: the Schur complement g f I + V* A is exactly 0
-    g, f = 0.5, 0.8
-    pair = MismatchPair(ScaledIdentity(3, 1.0), ScaledIdentity(3, -g * f))
-    block = BlockSkewOperator(pair, g, f)
-    monkeypatch.setattr("mismatch_splitting.operators.DENSE_DIM_LIMIT", 2)
-    with pytest.raises(SingularInnerSystemError, match="sigma_min"):
-        estimate_sigma_min(block)
-
-
 def test_sigma_min_iterative_path_needs_matrices(monkeypatch):
     op = FunctionOperator(3, 3, lambda x: x, lambda y: y)
     block = BlockSkewOperator(MismatchPair(op, op), 1.0, 1.0)
@@ -301,9 +273,8 @@ def test_inner_system_sparse_backend_solves_both_systems(monkeypatch):
     eye = np.eye(d)
     system = np.block([[a * eye, tau * v_mat.T.toarray()], [-tau * a_mat.toarray(), b * eye]])
     rhs = rng.standard_normal(2 * d)
-    for solve, mat in ((solver.solve, system), (solver.solve_transpose, system.T)):
-        got = np.concatenate(solve(rhs[:d], rhs[d:]))
-        assert np.linalg.norm(mat @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    got = np.concatenate(solver.solve(rhs[:d], rhs[d:]))
+    assert np.linalg.norm(system @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("size", [8, 16])
@@ -327,11 +298,6 @@ def test_woodbury_inner_solve_matches_dense_schur_lu(size, matched):
         v_ref = scipy.linalg.lu_solve(lu, b * rx - tau * v_mat.T @ ry)
         ref = np.concatenate([v_ref, (ry + tau * a_mat @ v_ref) / b])
         got = np.concatenate(solver.solve(rx, ry))
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-
-        v_ref = scipy.linalg.lu_solve(lu, b * rx + tau * a_mat.T @ ry, trans=1)
-        ref = np.concatenate([v_ref, (ry - tau * v_mat @ v_ref) / b])
-        got = np.concatenate(solver.solve_transpose(rx, ry))
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mismatch_splitting.experiments import certified_plan
 from mismatch_splitting.operators import (
     BlockSkewOperator,
+    MatrixOperator,
     MismatchPair,
     ScaledIdentity,
     estimate_operator_norm,
@@ -14,13 +16,16 @@ from mismatch_splitting.operators import (
 from mismatch_splitting.stepsize import (
     CertificateError,
     ConvexityProfile,
+    block_norm_upper_bound,
     certify_weak,
     compute_plan,
     monotonicity_c,
     predicted_rate,
     rate_eta,
     select_mus,
+    sigma_min_lower_bound,
 )
+from mismatch_splitting.tomo import ParallelGeometry, build_projector_pair
 
 
 def scalar_block(profile):
@@ -171,3 +176,88 @@ def test_existence_flag():
     assert not ConvexityProfile(1.0, 1.0, 2.0).exists_unique
     assert ConvexityProfile(1.0, 1.0, 1.5).exists_unique
     assert ConvexityProfile(1.0, 1.0, 0.0).exists_unique
+
+
+def dense_spectrum(pair, g, f):
+    """(sigma_min, ||B||) of the shifted skew block [[g I, V*], [-A, f I]]."""
+    svals = np.linalg.svd(BlockSkewOperator(pair, g, f).as_array(), compute_uv=False)
+    return float(svals[-1]), float(svals[0])
+
+
+def random_dense_pair(seed, m, n, mismatch):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) / math.sqrt(n)
+    return MismatchPair(MatrixOperator(a),
+                        MatrixOperator(a - mismatch * rng.standard_normal((m, n))))
+
+
+def check_bounds_and_plan(pair, gamma_g, excess, theta):
+    """The closed-form bounds bracket the dense-SVD values, and the plan
+    built from them stays certified when evaluated with those exact values.
+
+    gamma_f is chosen so that gamma_g gamma_f = d^2/4 (1 + excess), with d
+    the exact ||A - V||; the midpoint shifts g, f then sit at about
+    g f = d^2/4 (1 + excess/2).
+    """
+    d = float(np.linalg.norm(pair.forward.as_array() - pair.surrogate.as_array(), 2))
+    norm_a = float(np.linalg.norm(pair.forward.as_array(), 2))
+    norm_v = float(np.linalg.norm(pair.surrogate.as_array(), 2))
+    gamma_f = 0.25 * d * d * (1.0 + excess) / gamma_g
+    plan, _ = certified_plan(pair, gamma_g, gamma_f, theta)
+    g, f = plan.mu_tilde_g, plan.mu_tilde_f
+    sigma, b_norm = dense_spectrum(pair, g, f)
+
+    assert 0.0 < sigma_min_lower_bound(g, f, d) <= sigma * (1.0 + 1e-12)
+    assert block_norm_upper_bound(g, f, norm_a, norm_v) >= b_norm * (1.0 - 1e-12)
+    # the plan's own inputs, from the Lanczos norm estimates, as well
+    assert 0.0 < plan.sigma <= sigma * (1.0 + 1e-12)
+    assert plan.b_sigma_norm >= b_norm * (1.0 - 1e-12)
+
+    eta_exact = rate_eta(plan.tau, plan.delta, plan.upsilon, sigma, b_norm, max(g, f))
+    assert eta_exact >= plan.eta * (1.0 - 1e-12)
+    mus = (plan.mu_g, plan.mu_tilde_g, plan.mu_f, plan.mu_tilde_f)
+    ok, _ = certify_weak(ConvexityProfile(gamma_g, gamma_f, d), mus, plan.tau, plan.theta)
+    assert ok
+
+
+@given(st.integers(0, 10_000), st.integers(2, 8), st.integers(2, 8),
+       st.floats(0.01, 1.0), st.floats(0.2, 4.0), st.floats(-6.0, 1.0),
+       st.floats(0.15, 0.85))
+def test_closed_form_bounds_random_dense_pairs(seed, m, n, mismatch, gamma_g,
+                                               log_excess, theta):
+    pair = random_dense_pair(seed, m, n, mismatch)
+    check_bounds_and_plan(pair, gamma_g, 10.0**log_excess, theta)
+
+
+@pytest.mark.parametrize("excess", [1e-6, 1e-3, 1.0])
+@pytest.mark.parametrize("gamma_g", [0.5, 2.0])
+def test_closed_form_bounds_projector_pair(excess, gamma_g):
+    # the 8^2 tomography pair: ray-driven Radon and pixel-driven surrogate,
+    # each stacked over the shared gradient
+    pair = build_projector_pair(ParallelGeometry(8, 4, 8)).mismatch_pair()
+    check_bounds_and_plan(pair, gamma_g, excess, 0.5)
+
+
+def test_sigma_min_lower_bound_closed_forms():
+    # no mismatch: the bound is min(g, f), the exact sigma_min
+    assert sigma_min_lower_bound(0.7, 0.3, 0.0) == pytest.approx(0.3, rel=1e-15)
+    # V = -A makes the block symmetric, and the bound is its exact sigma_min
+    pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -1.0))
+    sigma, _ = dense_spectrum(pair, 1.5, 0.9)
+    assert sigma_min_lower_bound(1.5, 0.9, 2.0) == pytest.approx(sigma, rel=1e-12)
+    # the sign flips exactly at the existence limit g f = d^2/4
+    assert sigma_min_lower_bound(1.0, 1.0, 2.0) == 0.0
+    assert sigma_min_lower_bound(1.0, 1.0, 2.0 + 1e-9) < 0.0
+    assert sigma_min_lower_bound(1.0, 1.0, 2.0 - 1e-9) > 0.0
+
+
+def test_singular_block_has_no_certificate():
+    # A = I, V* = -g f I: the shifted skew block is exactly singular; the
+    # bound is not positive and no plan is certified, never sigma_min = 0
+    g, f = 0.5, 0.8
+    pair = MismatchPair(ScaledIdentity(3, 1.0), ScaledIdentity(3, -g * f))
+    sigma, _ = dense_spectrum(pair, g, f)
+    assert sigma <= 1e-15
+    assert sigma_min_lower_bound(g, f, pair.mismatch_norm) <= 0.0
+    with pytest.raises(CertificateError):
+        certified_plan(pair, g, f, 0.5)
