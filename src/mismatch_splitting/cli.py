@@ -122,25 +122,24 @@ def tomo(config_path, out_dir, seed, full_scale):
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--full-scale", is_flag=True, default=False)
-def stepsize_cmd(config_path, out_dir, seed, full_scale):
+def stepsize_cmd(config_path, out_dir):
     """Certified step-size plan from moduli and operators (or scalars).
 
     Config keys: gamma_g, gamma_f, theta, and either forward_csv plus
     surrogate_csv, or a scalar mismatch_norm (modeled as the 1-d pair
-    A = d, V = 0 for the spectral quantities).
+    A = d, V = 0 for the spectral quantities; d must be nonnegative).
     """
-    del seed, full_scale
     data = _load_config(config_path)
+    scalar = "forward_csv" not in data and "surrogate_csv" not in data
     try:
         gamma_g = float(data["gamma_g"])
         gamma_f = float(data["gamma_f"])
         theta = float(data.get("theta", 0.5))
+        d = float(data["mismatch_norm"]) if scalar else None
     except KeyError as exc:
         raise click.ClickException(f"missing config key: {exc}") from exc
 
-    if "forward_csv" in data or "surrogate_csv" in data:
+    if not scalar:
         try:
             fwd = load_operator_csv(data["forward_csv"])
             sur = load_operator_csv(data["surrogate_csv"])
@@ -148,8 +147,9 @@ def stepsize_cmd(config_path, out_dir, seed, full_scale):
             raise click.ClickException(
                 "forward_csv and surrogate_csv must be given together") from exc
         pair = MismatchPair(fwd, sur)
+    elif not d >= 0:
+        raise click.ClickException(f"mismatch_norm must be nonnegative, got {d}")
     else:
-        d = float(data["mismatch_norm"])
         pair = MismatchPair(ScaledIdentity(1, d), ScaledIdentity(1, 0.0))
 
     plan, _ = experiments.certified_plan(pair, gamma_g, gamma_f, theta)
@@ -175,16 +175,13 @@ cli.add_command(stepsize_cmd, name="stepsize")
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--full-scale", is_flag=True, default=False)
-def analyze(config_path, out_dir, seed, full_scale):
+def analyze(config_path, out_dir):
     """Fixed-point report for a candidate point of a quadratic problem.
 
     Config keys: forward_csv, surrogate_csv, alpha, beta, z (list), and
     optionally x, y (candidate point; defaults to the closed-form fixed
     point) and probe_tau.
     """
-    del seed, full_scale
     data = _load_config(config_path)
     try:
         fwd = load_operator_csv(data["forward_csv"])

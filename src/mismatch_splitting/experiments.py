@@ -68,7 +68,6 @@ class RunReport:
     traces: dict = field(default_factory=dict)  # solver -> (columns, rows)
     images: dict = field(default_factory=dict)  # name -> 2d array
     timings: dict = field(default_factory=dict)  # wall times in s, kept out of summary
-    artifact_paths: list = field(default_factory=list)
 
     @property
     def diverged(self):
@@ -388,7 +387,8 @@ def write_pgm(path, image, vmin=None, vmax=None):
 
 
 def emit_report(report, out_dir):
-    """Write trace CSVs, a summary JSON, and PGM images for a RunReport.
+    """Write trace CSVs, a summary JSON, and PGM images for a RunReport and
+    return their paths.  This is the only writer of trace CSVs.
 
     Filenames are deterministic: {experiment}_{solver}.csv,
     {experiment}_summary.json, {experiment}_{image}.pgm.  Empty traces
@@ -424,6 +424,4 @@ def emit_report(report, out_dir):
         path = os.path.join(out_dir, f"{report.experiment}_{name}.pgm")
         write_pgm(path, report.images[name])
         paths.append(path)
-
-    report.artifact_paths = paths
     return paths

@@ -442,13 +442,12 @@ class InnerSystemSolver:
       complement is B + tau^2 R_V^T R_A with B = ab I + tau^2 D^T D, which
       the orthonormal 2-D DCT-II diagonalises; only the capacitance
       C = I/tau^2 + R_A B^{-1} R_V^T, of the size of R_A's rows, is factored.
-    - ``"dense"``: LAPACK LU of the Schur complement on the smaller side.
-    - ``"sparse"``: SuperLU, when that Schur complement is sparse and larger
-      than DENSE_DIM_LIMIT (no condition estimate; only an exactly zero
-      pivot is reported singular).
+    - ``"dense"``: LAPACK LU of the Schur complement on the smaller side,
+      densified if sparse, whenever both maps carry matrices.
     - ``"iterative"``: matrix-free lgmres when an operator has no matrix.
 
-    Each LAPACK LU is guarded by its dgecon estimate ``rcond``; below
+    The backend depends on structure alone, never on a size limit, and every
+    direct factorisation is guarded by its dgecon estimate ``rcond``; below
     RCOND_FLOOR the system is reported singular.  ``factor_s`` is the
     factorisation wall time.
     """
@@ -491,8 +490,8 @@ class InnerSystemSolver:
             prod = mv.T @ ma
             dim = self.pair.domain_dim
         if scipy.sparse.issparse(prod):
-            return (ab * scipy.sparse.eye(dim) + t2 * prod).tocsc()
-        return ab * np.eye(dim) + t2 * np.asarray(prod)
+            prod = prod.toarray()
+        return ab * np.eye(dim) + t2 * prod
 
     def _build(self):
         shared = self._shared_dct_block()
@@ -500,23 +499,13 @@ class InnerSystemSolver:
             self._build_woodbury(*shared)
             return
         schur = self._schur_matrix()
-        dim = self.pair.codomain_dim if self.eliminate_primal else self.pair.domain_dim
         if schur is None:
             self.backend = "iterative"
-            self._op = self._matfree_schur(dim)
-        elif scipy.sparse.issparse(schur) and dim > DENSE_DIM_LIMIT:
-            self.backend = "sparse"
-            try:
-                self._lu = scipy.sparse.linalg.splu(schur)
-            except RuntimeError as exc:
-                raise SingularInnerSystemError(
-                    "inner block system is singular; tau violates the bound "
-                    "tau < 1/||A - V||"
-                ) from exc
+            self._op = self._matfree_schur(
+                self.pair.codomain_dim if self.eliminate_primal else self.pair.domain_dim)
         else:
             self.backend = "dense"
-            dense = schur.toarray() if scipy.sparse.issparse(schur) else schur
-            self._lu, self.rcond = _dense_lu(dense)
+            self._lu, self.rcond = _dense_lu(schur)
             self._check_rcond("Schur complement")
 
     def _check_rcond(self, what):
@@ -595,8 +584,6 @@ class InnerSystemSolver:
             return self._base_solve(rhs - r_v_t @ s)
         if self.backend == "dense":
             return scipy.linalg.lu_solve(self._lu, rhs)
-        if self.backend == "sparse":
-            return self._lu.solve(rhs)
         sol, info = scipy.sparse.linalg.lgmres(self._op, rhs, rtol=1e-13, atol=0.0, maxiter=2000)
         if info != 0:
             raise SingularInnerSystemError(

@@ -1,25 +1,27 @@
 """Proximal-operator calculus for the shipped solvers.
 
-A ProxFn bundles the prox map with its declared strong-convexity modulus and
-an optional objective for trace reporting.  The strong convexity value is
-user-declared; a randomized monotonicity spot-check is available but only
-warns on violation.
+A ProxFn bundles the prox map with its declared strong-convexity modulus;
+the objective a run reports is passed to solvers.run on its own.  The strong
+convexity value is user-declared; a randomized monotonicity spot-check is
+available but only warns on violation.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class ProxFn:
+    """``evaluate(p, tau)`` is the prox of tau times the function at p;
+    ``strong_convexity`` is the function's declared modulus."""
+
     evaluate: Callable[[np.ndarray, float], np.ndarray]
     strong_convexity: float = 0.0
-    objective: Optional[Callable[[np.ndarray], float]] = None
 
     def __call__(self, point, tau):
         return self.evaluate(np.asarray(point, dtype=float), float(tau))
@@ -27,7 +29,7 @@ class ProxFn:
 
 def prox_identity():
     """Prox of the zero function (G == 0)."""
-    return ProxFn(lambda p, tau: p, strong_convexity=0.0, objective=lambda x: 0.0)
+    return ProxFn(lambda p, tau: p, strong_convexity=0.0)
 
 
 def prox_scaled_quadratic(alpha, shift=None):
@@ -40,13 +42,7 @@ def prox_scaled_quadratic(alpha, shift=None):
         num = p if s is None else p - tau * s
         return num / (1.0 + tau * alpha)
 
-    def objective(x):
-        val = 0.5 * alpha * float(x @ x)
-        if s is not None:
-            val += float(s @ x)
-        return val
-
-    return ProxFn(evaluate, strong_convexity=float(alpha), objective=objective)
+    return ProxFn(evaluate, strong_convexity=float(alpha))
 
 
 def project_linf2(field, radius):
@@ -78,7 +74,7 @@ def prox_linf2_ball(radius, field_shape=None):
             return project_linf2(p.reshape(field_shape), radius).ravel()
         return project_linf2(p, radius)
 
-    return ProxFn(evaluate, strong_convexity=0.0, objective=None)
+    return ProxFn(evaluate, strong_convexity=0.0)
 
 
 def soft_threshold(point, level):
@@ -88,20 +84,12 @@ def soft_threshold(point, level):
 
 def prox_l1():
     """Prox of ||.||_1: componentwise soft-thresholding at level tau."""
-    return ProxFn(
-        lambda p, tau: soft_threshold(p, tau),
-        strong_convexity=0.0,
-        objective=lambda x: float(np.sum(np.abs(x))),
-    )
+    return ProxFn(lambda p, tau: soft_threshold(p, tau), strong_convexity=0.0)
 
 
 def prox_box_dual():
     """Moreau conjugate of the l1 prox: projection onto [-1, 1]^d."""
-    return ProxFn(
-        lambda p, tau: np.clip(p, -1.0, 1.0),
-        strong_convexity=0.0,
-        objective=None,
-    )
+    return ProxFn(lambda p, tau: np.clip(p, -1.0, 1.0), strong_convexity=0.0)
 
 
 def prox_convex_shifted(base, mu):
@@ -128,12 +116,7 @@ def prox_convex_shifted(base, mu):
         denom = 1.0 - lam * mu
         return base.evaluate(p / denom, lam / denom)
 
-    objective = None
-    if base.objective is not None:
-        def objective(x):
-            return base.objective(x) - 0.5 * mu * float(x @ x)
-
-    return ProxFn(evaluate, strong_convexity=base.strong_convexity - mu, objective=objective)
+    return ProxFn(evaluate, strong_convexity=base.strong_convexity - mu)
 
 
 def firm_nonexpansiveness_defect(prox, a, b, tau=1.0):

@@ -6,7 +6,6 @@ iteration kept as an equivalence oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 import warnings
@@ -177,7 +176,7 @@ class CPStepper:
         x_new = prob.prox_g(state.x - self.tau_p * prob.pair.apply_surrogate_adjoint(state.y), self.tau_p)
         x_bar = x_new + self.theta_cp * (x_new - state.x)
         y_new = prob.prox_fstar(state.y + self.sigma_d * prob.pair.forward.apply(x_bar), self.sigma_d)
-        return SolverState(x_new, y_new, x_new.copy(), y_new.copy(), x_new.copy(), y_new.copy(), state.k + 1)
+        return SolverState(x_new, y_new, x_new, y_new, x_new, y_new, state.k + 1)
 
 
 def step_lifted_ppp(problem, lifted, tau):
@@ -226,39 +225,26 @@ class RunResult:
     def distances(self):
         return self._column("dist_to_ref")
 
-    @property
-    def objectives(self):
-        return self._column("objective")
-
 
 def run(problem, stepper, stopping, initial_state=None, x_ref=None,
         objective: Optional[Callable[[np.ndarray], float]] = None,
-        trace_sink=None, extra_metrics=None):
+        extra_metrics=None):
     """Iterate ``stepper`` until the fixed-point residual drops below
     tolerance, the run diverges (a non-finite or too large primal iterate,
     or a non-finite residual, which catches non-finite governing or dual
     iterates), or max_iters is reached.
 
     The residual is ||(p,q)^{k+1} - (p,q)^k|| / theta for PDDR-type steppers,
-    which equals the fixed-point defect ||(v,w) - (x,y)||.  Trace records are
-    appended to ``trace_sink`` (path or file object) as CSV rows.
+    which equals the fixed-point defect ||(v,w) - (x,y)||.  Each iteration
+    appends one row of TRACE_COLUMNS to ``result.trace``, with ``objective``
+    evaluated at the primal iterate; experiments.emit_report writes the rows
+    out as CSV.
     """
     state = initial_state.copy() if initial_state is not None else zero_state(problem)
     result = RunResult(status="max_iters", state=state)
     if extra_metrics:
         result.extras = {name: [] for name in extra_metrics}
     t0 = time.perf_counter()
-
-    close_sink = False
-    writer = None
-    if trace_sink is not None:
-        if hasattr(trace_sink, "write"):
-            fh = trace_sink
-        else:
-            fh = open(trace_sink, "w", newline="")
-            close_sink = True
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
 
     def record(state, residual):
         dist = float(np.linalg.norm(state.x - x_ref)) if x_ref is not None else None
@@ -269,29 +255,21 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
         if extra_metrics:
             for name, fn in extra_metrics.items():
                 result.extras[name].append(float(fn(state)))
-        if writer is not None:
-            writer.writerow(["" if c is None else c for c in row])
 
-    try:
-        record(state, None)
-        prev = stepper.governing(state)
-        for _ in range(stopping.max_iters):
-            state = stepper.step(state)
-            result.state = state
-            governing = stepper.governing(state)
-            residual = float(np.linalg.norm(governing - prev)) / stepper.residual_scale
-            prev = governing
-            record(state, residual)
-            if (not math.isfinite(residual) or not np.all(np.isfinite(state.x))
-                    or np.linalg.norm(state.x) > stopping.divergence_threshold):
-                result.status = "diverged"
-                break
-            if residual <= stopping.fixed_point_tol:
-                result.status = "converged"
-                break
-        else:
-            result.status = "max_iters"
-    finally:
-        if close_sink:
-            fh.close()
+    record(state, None)
+    prev = stepper.governing(state)
+    for _ in range(stopping.max_iters):
+        state = stepper.step(state)
+        result.state = state
+        governing = stepper.governing(state)
+        residual = float(np.linalg.norm(governing - prev)) / stepper.residual_scale
+        prev = governing
+        record(state, residual)
+        if (not math.isfinite(residual) or not np.all(np.isfinite(state.x))
+                or np.linalg.norm(state.x) > stopping.divergence_threshold):
+            result.status = "diverged"
+            break
+        if residual <= stopping.fixed_point_tol:
+            result.status = "converged"
+            break
     return result

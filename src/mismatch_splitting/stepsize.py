@@ -156,11 +156,7 @@ def compute_plan(profile, theta, sigma, b_sigma_norm):
     zeta = (delta - 1.0) / (delta * math.sqrt(denom))
     c = monotonicity_c(mu_g, mu_tilde_g, mu_f, mu_tilde_f)
     norm_cap = 0.99 * delta / ((delta - 1.0) * d) if d > 0 else math.inf
-    tau_s = (delta - 1.0) / delta * min(
-        (mu_g - mu_tilde_g) / (mu_g * mu_tilde_g),
-        (mu_f - mu_tilde_f) / (mu_f * mu_tilde_f),
-        norm_cap,
-    )
+    tau_s = (delta - 1.0) / delta * min(c, norm_cap)
 
     # intersection points of the linear and rational branches of eta(tau)
     disc = (delta - 1.0) ** 2 * m_max**2 - (

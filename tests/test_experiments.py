@@ -155,8 +155,9 @@ def test_emit_report_files(tmp_path):
         payload = json.load(fh)
     assert payload["experiment"] == "quadratic"
     assert payload["statuses"]["mismatched"] == "max_iters"
-    header = (tmp_path / "quadratic_mismatched.csv").read_text().splitlines()[0]
-    assert header.startswith("iter,dist_to_ref,objective,residual,wall_time_ms")
+    lines = (tmp_path / "quadratic_mismatched.csv").read_text().splitlines()
+    assert lines[0].startswith("iter,dist_to_ref,objective,residual,wall_time_ms")
+    assert len(lines) == len(report.traces["mismatched"][1]) + 1
 
 
 def test_emit_report_empty_trace_and_images(tmp_path):
@@ -218,6 +219,23 @@ def test_cli_stepsize_plan(tmp_path):
         payload = json.load(fh)
     assert payload["plan"]["tau"] > 0
     assert 0 < payload["predicted_rate"] < 1
+
+
+def test_cli_stepsize_rejects_negative_mismatch_norm(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_g": 2.0, "gamma_f": 0.1,
+                               "mismatch_norm": -0.5, "theta": 0.5}))
+    out = tmp_path / "out"
+    assert cli_main(["stepsize", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "mismatch_norm must be nonnegative" in capsys.readouterr().err
+    assert not (out / "stepsize_plan.json").exists()
+
+
+def test_cli_stepsize_missing_mismatch_norm(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_g": 2.0, "gamma_f": 0.1, "theta": 0.5}))
+    assert cli_main(["stepsize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "missing config key: 'mismatch_norm'" in capsys.readouterr().err
 
 
 def test_cli_analyze_round_trip(tmp_path):

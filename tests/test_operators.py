@@ -261,20 +261,47 @@ def test_small_sparse_near_singular_pair_is_guarded():
         InnerSystemSolver(pair, tau)
 
 
-def test_inner_system_sparse_backend_solves_both_systems(monkeypatch):
+def test_inner_system_sparse_pair_solves_on_dense_lu():
     d, tau, mu_g, mu_f = 300, 0.4, 0.1, 0.2
     a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
     rng = np.random.default_rng(9)
     a_mat, v_mat = (scipy.sparse.diags(rng.uniform(0.5, 1.5, d)).tocsr() for _ in range(2))
-    monkeypatch.setattr("mismatch_splitting.operators.DENSE_DIM_LIMIT", 100)
     solver = InnerSystemSolver(MismatchPair(MatrixOperator(a_mat), MatrixOperator(v_mat)),
                                tau, mu_g, mu_f)
-    assert solver.backend == "sparse"
+    assert solver.backend == "dense"
     eye = np.eye(d)
     system = np.block([[a * eye, tau * v_mat.T.toarray()], [-tau * a_mat.toarray(), b * eye]])
     rhs = rng.standard_normal(2 * d)
     got = np.concatenate(solver.solve(rhs[:d], rhs[d:]))
     assert np.linalg.norm(system @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def _matrix_free(mat):
+    return FunctionOperator(mat.shape[1], mat.shape[0], lambda x: mat @ x, lambda y: mat.T @ y)
+
+
+def test_inner_system_matrix_free_pair_solves_iteratively():
+    m, n, tau, mu_g, mu_f = 20, 30, 0.4, 0.1, 0.2
+    a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
+    rng = np.random.default_rng(5)
+    a_mat, v_mat = (rng.standard_normal((m, n)) / np.sqrt(n) for _ in range(2))
+    solver = InnerSystemSolver(MismatchPair(_matrix_free(a_mat), _matrix_free(v_mat)),
+                               tau, mu_g, mu_f)
+    assert solver.backend == "iterative"
+    system = np.block([[a * np.eye(n), tau * v_mat.T], [-tau * a_mat, b * np.eye(m)]])
+    rhs = rng.standard_normal(n + m)
+    got = np.concatenate(solver.solve(rhs[:n], rhs[n:]))
+    assert np.linalg.norm(system @ got - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_inner_system_matrix_free_singular_pair_names_tau():
+    # A = I, V* = -I / tau^2: the Schur complement I + tau^2 A V* is exactly 0
+    d, tau = 5, 0.5
+    pair = MismatchPair(_matrix_free(np.eye(d)), _matrix_free(-np.eye(d) / tau**2))
+    solver = InnerSystemSolver(pair, tau)
+    assert solver.backend == "iterative"
+    with pytest.raises(SingularInnerSystemError, match="tau"):
+        solver.solve(np.ones(d), np.ones(d))
 
 
 @pytest.mark.parametrize("size", [8, 16])

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,17 +201,6 @@ def test_run_non_finite_dual_is_diverged():
     assert result.status == "diverged"
     assert result.iterations == 3
     assert np.all(np.isfinite(result.state.x))
-
-
-def test_run_trace_csv_sink():
-    problem, *_ = quadratic_problem(10)
-    sink = io.StringIO()
-    result = run(problem, PDDRStepper(problem, 0.2, 0.5), StoppingRule(5, 1e-14),
-                 x_ref=np.zeros(problem.primal_dim), objective=lambda x: float(x @ x),
-                 trace_sink=sink)
-    lines = sink.getvalue().strip().splitlines()
-    assert lines[0] == "iter,dist_to_ref,objective,residual,wall_time_ms"
-    assert len(lines) == len(result.trace) + 1 == 7
 
 
 def test_stepper_validation():
