@@ -24,7 +24,7 @@ from .operators import (
     estimate_operator_norm,
     estimate_sigma_min,
 )
-from .proximal import ProxFn, project_linf2, prox_box_dual, prox_identity, prox_scaled_quadratic
+from .proximal import ProxFn, prox_box_dual, prox_identity, prox_scaled_quadratic
 
 
 @dataclass
@@ -271,17 +271,22 @@ def huber_tv_prox(lam0, lam1, eps, z, sino_size, n_pixels):
 
     Dual layout is [data part (sino_size); gradient part (2 n_pixels)].
     The data block is a shifted quadratic; the gradient block is the
-    Huber-smoothed dual, a rescale followed by a radial projection.
+    Huber-smoothed dual, a rescale followed by a radial projection
+    (project_linf2, written out on the (2, n_pixels) layout).
     """
+    if lam1 < 0:
+        raise ValueError("radius lam1 must be nonnegative")
     z = np.asarray(z, dtype=float)
 
     def evaluate(dual, tau):
-        q = dual[:sino_size]
-        p = dual[sino_size:]
-        q_new = (q - tau * z) / (1.0 + tau / lam0)
-        field = (p / (1.0 + tau * eps)).reshape(2, n_pixels).T
-        p_new = project_linf2(field, lam1).T.ravel()
-        return np.concatenate([q_new, p_new])
+        out = np.empty(sino_size + 2 * n_pixels)
+        np.divide(dual[:sino_size] - tau * z, 1.0 + tau / lam0, out=out[:sino_size])
+        field = out[sino_size:].reshape(2, n_pixels)
+        np.divide(dual[sino_size:].reshape(2, n_pixels), 1.0 + tau * eps, out=field)
+        f0, f1 = field
+        norms = np.sqrt(f0 * f0 + f1 * f1)
+        field *= np.where(norms > lam1, lam1 / np.maximum(norms, 1e-300), 1.0)
+        return out
 
     return ProxFn(evaluate, strong_convexity=min(1.0 / lam0, eps))
 
@@ -315,16 +320,15 @@ def run_tomography(config=None):
                            geom.sinogram_size, n_pix)
     problem = solvers.SaddleProblem(prox_g, prox_f, pair)
 
-    grad_mat = proj.gradient.matrix
-    radon_mat = proj.radon_forward.matrix
-
+    forward_mat = pair.forward.matrix  # [Radon; gradient], stacked once
     knee = config.lam1 * config.eps
 
     def objective(x):
         # the Huber-smoothed TV whose conjugate huber_tv_prox evaluates:
         # |g|^2 / (2 eps) up to |g| = lam1 eps, lam1 |g| - lam1^2 eps / 2 beyond
-        r = radon_mat @ x - z
-        g = (grad_mat @ x).reshape(2, n_pix)
+        kx = forward_mat @ x
+        r = kx[:z.size] - z
+        g = kx[z.size:].reshape(2, n_pix)
         s = np.hypot(g[0], g[1])
         huber = np.where(s <= knee, s * s / (2.0 * config.eps),
                          config.lam1 * s - 0.5 * config.lam1 * knee)

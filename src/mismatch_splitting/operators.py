@@ -8,6 +8,7 @@ in the pair.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -184,7 +185,8 @@ class DifferenceMap(LinearMap):
 
 
 class VStackMap(LinearMap):
-    """Vertical stack (A1; A2; ...) sharing one domain."""
+    """Vertical stack (A1; A2; ...) sharing one domain; when every block
+    carries a matrix, each side is one product with a cached stacked matrix."""
 
     def __init__(self, blocks):
         dims = {b.domain_dim for b in blocks}
@@ -195,19 +197,30 @@ class VStackMap(LinearMap):
         self.codomain_dim = sum(b.codomain_dim for b in blocks)
         self._offsets = np.cumsum([0] + [b.codomain_dim for b in blocks])
 
-    @property
-    def matrix(self):
+    @functools.cached_property
+    def _stacked(self):
+        """(stacked matrix, its transpose), or () if a block is matrix-free."""
         mats = [b.matrix for b in self.blocks]
         if any(m is None for m in mats):
-            return None
+            return ()
         if any(scipy.sparse.issparse(m) for m in mats):
-            return scipy.sparse.vstack([scipy.sparse.csr_matrix(m) for m in mats], format="csr")
-        return np.vstack(mats)
+            mat = scipy.sparse.vstack([scipy.sparse.csr_matrix(m) for m in mats], format="csr")
+        else:
+            mat = np.vstack(mats)
+        return mat, _transposed(mat)
+
+    @property
+    def matrix(self):
+        return self._stacked[0] if self._stacked else None
 
     def apply(self, x):
+        if self._stacked:
+            return self._stacked[0] @ np.asarray(x, dtype=float)
         return np.concatenate([b.apply(x) for b in self.blocks])
 
     def apply_adjoint(self, y):
+        if self._stacked:
+            return self._stacked[1] @ np.asarray(y, dtype=float)
         out = np.zeros(self.domain_dim)
         for b, lo, hi in zip(self.blocks, self._offsets[:-1], self._offsets[1:]):
             out += b.apply_adjoint(y[lo:hi])
@@ -427,6 +440,15 @@ def _dense_lu(mat):
     return (lu, piv), float(rcond)
 
 
+def _lu_solve(lu_piv, rhs):
+    """LAPACK dgetrs on _dense_lu factors, which dgecon checked once; only the
+    right-hand side is checked for finiteness (ValueError)."""
+    x, info = scipy.linalg.lapack.dgetrs(*lu_piv, np.asarray_chkfinite(rhs, dtype=float))
+    if info != 0:
+        raise ValueError(f"dgetrs: illegal value in argument {-info}")
+    return x
+
+
 class InnerSystemSolver:
     """Factored solver for the 2x2 block system [[a I, tau V*], [-tau A, b I]].
 
@@ -442,14 +464,18 @@ class InnerSystemSolver:
       complement is B + tau^2 R_V^T R_A with B = ab I + tau^2 D^T D, which
       the orthonormal 2-D DCT-II diagonalises; only the capacitance
       C = I/tau^2 + R_A B^{-1} R_V^T, of the size of R_A's rows, is factored.
+      The solve s = C^{-1} R_A B^{-1} r, v = B^{-1} (r - R_V^T s) gives
+      R_A v = s/tau^2 exactly, so w = (r_y + s/tau)/b off D's rows and only
+      D is applied to v.
     - ``"dense"``: LAPACK LU of the Schur complement on the smaller side,
       densified if sparse, whenever both maps carry matrices.
     - ``"iterative"``: matrix-free lgmres when an operator has no matrix.
 
     The backend depends on structure alone, never on a size limit, and every
     direct factorisation is guarded by its dgecon estimate ``rcond``; below
-    RCOND_FLOOR the system is reported singular.  ``factor_s`` is the
-    factorisation wall time.
+    RCOND_FLOOR the system is reported singular; ``solve`` calls dgetrs on
+    the factors directly.  The ``iterative`` backend instead makes one probe
+    solve on construction.  ``factor_s`` is the factorisation wall time.
     """
 
     def __init__(self, pair, tau, mu_g=0.0, mu_f=0.0):
@@ -501,8 +527,9 @@ class InnerSystemSolver:
         schur = self._schur_matrix()
         if schur is None:
             self.backend = "iterative"
-            self._op = self._matfree_schur(
-                self.pair.codomain_dim if self.eliminate_primal else self.pair.domain_dim)
+            dim = self.pair.codomain_dim if self.eliminate_primal else self.pair.domain_dim
+            self._op = self._matfree_schur(dim)
+            self._schur_solve(np.random.default_rng(POWER_SEED).standard_normal(dim))
         else:
             self.backend = "dense"
             self._lu, self.rcond = _dense_lu(schur)
@@ -518,8 +545,8 @@ class InnerSystemSolver:
             )
 
     def _shared_dct_block(self):
-        """(D, R_A, R_V) when forward and surrogate stack one shared block D
-        exposing ``dct_eigenvalues`` beside matrix-backed blocks R_A, R_V."""
+        """(D, D's rows, R_A, R_V) when forward and surrogate stack one shared
+        block D exposing ``dct_eigenvalues`` beside matrix-backed R_A, R_V."""
         fwd, sur = self.pair.forward, self.pair.surrogate
         if not (isinstance(fwd, VStackMap) and isinstance(sur, VStackMap)):
             return None
@@ -531,20 +558,22 @@ class InnerSystemSolver:
                   if fb is sb and hasattr(fb, "dct_eigenvalues")]
         if len(shared) != 1 or len(pairs) == 1:
             return None
-        rest = [bs for i, bs in enumerate(pairs) if i != shared[0]]
+        i = shared[0]
+        rest = [bs for j, bs in enumerate(pairs) if j != i]
         r_a = VStackMap([fb for fb, _ in rest]).matrix
         r_v = VStackMap([sb for _, sb in rest]).matrix
         if r_a is None or r_v is None:
             return None
-        return pairs[shared[0]][0], r_a, r_v
+        return pairs[i][0], slice(fwd._offsets[i], fwd._offsets[i + 1]), r_a, r_v
 
-    def _build_woodbury(self, grad, r_a, r_v):
+    def _build_woodbury(self, grad, rows_d, r_a, r_v):
         self.backend = "woodbury"
         self.eliminate_primal = False
         t2 = self.tau**2
         rows, cols = grad.image_shape
         self._dct = (dct_matrix(rows), dct_matrix(cols))
         self._base_eig = self.a * self.b + t2 * np.reshape(grad.dct_eigenvalues, (rows, cols))
+        self._shared = (grad, rows_d, np.delete(np.arange(self.pair.codomain_dim), rows_d))
         self._r = (r_a, _transposed(r_v))
         k = r_a.shape[0]
         cap = np.eye(k) / t2
@@ -575,20 +604,25 @@ class InnerSystemSolver:
                 return ab * v + t2 * pair.apply_surrogate_adjoint(pair.forward.apply(v))
         return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv)
 
+    def _woodbury_solve(self, rhs, rhs_y):
+        r_a, r_v_t = self._r
+        s = _lu_solve(self._lu, r_a @ self._base_solve(rhs))
+        v = self._base_solve(rhs - r_v_t @ s)
+        grad, d, rest = self._shared
+        w = np.empty(self.pair.codomain_dim)
+        w[d] = rhs_y[d] + self.tau * grad.apply(v)
+        w[rest] = rhs_y[rest] + s / self.tau
+        w /= self.b
+        return v, w
+
     def _schur_solve(self, rhs):
-        if self.backend == "woodbury":
-            # y = B^{-1} r, s = C^{-1} R_A y, v = B^{-1} (r - R_V^T s)
-            r_a, r_v_t = self._r
-            y = self._base_solve(rhs)
-            s = scipy.linalg.lu_solve(self._lu, r_a @ y)
-            return self._base_solve(rhs - r_v_t @ s)
         if self.backend == "dense":
-            return scipy.linalg.lu_solve(self._lu, rhs)
+            return _lu_solve(self._lu, rhs)
         sol, info = scipy.sparse.linalg.lgmres(self._op, rhs, rtol=1e-13, atol=0.0, maxiter=2000)
         if info != 0:
             raise SingularInnerSystemError(
-                "iterative inner solve failed to converge; tau may violate "
-                "the bound tau < 1/||A - V||"
+                f"iterative inner solve failed to converge; tau = {self.tau:g} may "
+                "violate the bound tau < 1/||A - V||"
             )
         return sol
 
@@ -602,6 +636,8 @@ class InnerSystemSolver:
             v = (rhs_x - tau * pair.apply_surrogate_adjoint(w)) / a
         else:
             rhs = b * rhs_x - tau * pair.apply_surrogate_adjoint(rhs_y)
+            if self.backend == "woodbury":
+                return self._woodbury_solve(rhs, rhs_y)
             v = self._schur_solve(rhs)
             w = (rhs_y + tau * pair.forward.apply(v)) / b
         return v, w

@@ -13,8 +13,10 @@ from mismatch_splitting.experiments import (
     run_quadratic,
     run_tomography,
     emit_report,
+    huber_tv_prox,
     write_pgm,
 )
+from mismatch_splitting.proximal import project_linf2
 
 
 def test_counterexample_matched_control_contracts():
@@ -94,6 +96,22 @@ def test_tomography_objective_is_the_smoothed_one_solved():
         assert report.summary["inner_backend"][name]["backend"] == "woodbury"
         assert report.timings["inner_factor_s"][name] > 0.0
     assert finals["matched"] < min(finals["mismatched"], finals["adapted"])
+
+
+def test_huber_tv_prox_matches_transposed_projection_bitwise():
+    sino, n_pix, lam0, lam1, eps = 40, 64, 10.0, 0.8, 0.1
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal(sino)
+    prox = huber_tv_prox(lam0, lam1, eps, z, sino, n_pix)
+    for tau in (1e-3, 0.05, 0.7, 3.0):
+        dual = rng.standard_normal(sino + 2 * n_pix)
+        # the former composition: (n_pix, 2) field, project_linf2, concatenate
+        q_new = (dual[:sino] - tau * z) / (1.0 + tau / lam0)
+        field = (dual[sino:] / (1.0 + tau * eps)).reshape(2, n_pix).T
+        ref = np.concatenate([q_new, project_linf2(field, lam1).T.ravel()])
+        lengths = np.linalg.norm(field, axis=1)
+        assert (lengths > lam1).any() and (lengths <= lam1).any()
+        assert prox(dual, tau).tobytes() == ref.tobytes()
 
 
 def test_tomography_reports_empirical_rate():

@@ -298,10 +298,9 @@ def test_inner_system_matrix_free_singular_pair_names_tau():
     # A = I, V* = -I / tau^2: the Schur complement I + tau^2 A V* is exactly 0
     d, tau = 5, 0.5
     pair = MismatchPair(_matrix_free(np.eye(d)), _matrix_free(-np.eye(d) / tau**2))
-    solver = InnerSystemSolver(pair, tau)
-    assert solver.backend == "iterative"
+    # the constructor's probe solve refuses it, as dgecon does for the direct backends
     with pytest.raises(SingularInnerSystemError, match="tau"):
-        solver.solve(np.ones(d), np.ones(d))
+        InnerSystemSolver(pair, tau)
 
 
 @pytest.mark.parametrize("size", [8, 16])
@@ -326,6 +325,135 @@ def test_woodbury_inner_solve_matches_dense_schur_lu(size, matched):
         ref = np.concatenate([v_ref, (ry + tau * a_mat @ v_ref) / b])
         got = np.concatenate(solver.solve(rx, ry))
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _woodbury_stacks(size):
+    """Mismatched pairs whose shared gradient is not the last block: first,
+    and between two non-shared blocks."""
+    proj = build_projector_pair(ParallelGeometry(size, 4, size))
+    grad, n = proj.gradient, size * size
+    rng = np.random.default_rng(size + 1)
+    extra = [MatrixOperator(scipy.sparse.random(6, n, density=0.2, random_state=rng, format="csr"))
+             for _ in range(2)]
+    return [
+        MismatchPair(VStackMap([grad, proj.radon_forward]),
+                     VStackMap([grad, proj.radon_surrogate])),
+        MismatchPair(VStackMap([proj.radon_forward, grad, extra[0]]),
+                     VStackMap([proj.radon_surrogate, grad, extra[1]])),
+    ]
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_woodbury_solve_any_block_order_matches_dense_schur_lu(order):
+    pair = _woodbury_stacks(8)[order]
+    a_mat, v_mat = pair.forward.as_array(), pair.surrogate.as_array()
+    n, m = pair.domain_dim, pair.codomain_dim
+    rng = np.random.default_rng(order)
+    for tau, mu_g, mu_f in ((0.05, 0.0, 0.0), (0.3, 0.5, 0.2), (1.5, 0.1, 0.6)):
+        solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
+        assert solver.backend == "woodbury"
+        a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
+        lu = scipy.linalg.lu_factor(a * b * np.eye(n) + tau**2 * v_mat.T @ a_mat)
+        rx, ry = rng.standard_normal(n), rng.standard_normal(m)
+
+        v_ref = scipy.linalg.lu_solve(lu, b * rx - tau * v_mat.T @ ry)
+        w_ref = (ry + tau * a_mat @ v_ref) / b
+        v, w = solver.solve(rx, ry)
+        assert np.linalg.norm(v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
+        assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+        # both block equations
+        scale = np.linalg.norm(np.concatenate([rx, ry]))
+        assert np.linalg.norm(a * v + tau * v_mat.T @ w - rx) <= 1e-12 * scale
+        assert np.linalg.norm(-tau * a_mat @ v + b * w - ry) <= 1e-12 * scale
+
+
+def test_woodbury_solve_does_not_apply_the_non_shared_forward_blocks():
+    pair = _woodbury_stacks(8)[1]
+    solver = InnerSystemSolver(pair, 0.3, 0.1, 0.2)
+    rng = np.random.default_rng(4)
+    rx, ry = rng.standard_normal(pair.domain_dim), rng.standard_normal(pair.codomain_dim)
+    ref = solver.solve(rx, ry)
+
+    def refuse(x):
+        raise AssertionError("R_A v was formed")
+
+    pair.forward.apply = refuse
+    for block in pair.forward.blocks:
+        if not hasattr(block, "dct_eigenvalues"):
+            block.apply = refuse
+    v, w = solver.solve(rx, ry)
+    assert np.array_equal(v, ref[0]) and np.array_equal(w, ref[1])
+
+
+def _sparse_stack(seed):
+    rng = np.random.default_rng(seed)
+    return VStackMap([MatrixOperator(scipy.sparse.random(m, 40, density=0.15, random_state=rng,
+                                                         format="csr"))
+                      for m in (17, 30, 9)])
+
+
+def test_vstack_apply_is_one_stacked_product_bitwise():
+    stack = _sparse_stack(1)
+    x = np.random.default_rng(2).standard_normal(stack.domain_dim)
+    assert scipy.sparse.issparse(stack.matrix)
+    assert stack.matrix is stack.matrix  # built once
+    blockwise = np.concatenate([b.matrix @ x for b in stack.blocks])
+    assert stack.apply(x).tobytes() == blockwise.tobytes()
+
+
+def test_vstack_stacked_adjoint_matches_block_sum():
+    stack = _sparse_stack(3)
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal(stack.codomain_dim)
+    offsets = np.cumsum([0] + [b.codomain_dim for b in stack.blocks])
+    block_sum = sum(b.matrix.T @ y[lo:hi]
+                    for b, lo, hi in zip(stack.blocks, offsets[:-1], offsets[1:]))
+    got = stack.apply_adjoint(y)
+    assert np.linalg.norm(got - block_sum) <= 1e-14 * np.linalg.norm(block_sum)
+    assert adjoint_defect(stack, rng) < 1e-14
+
+
+def test_vstack_with_matrix_free_block_applies_blocks_one_by_one():
+    calls = []
+    mat = np.random.default_rng(5).standard_normal((4, 6))
+    free = FunctionOperator(6, 4, lambda x: calls.append("apply") or mat @ x,
+                            lambda y: calls.append("adjoint") or mat.T @ y)
+    dense = random_matrix_op(6, 3, 6)
+    stack = VStackMap([dense, free])
+    assert stack.matrix is None
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal(6), rng.standard_normal(7)
+    assert np.array_equal(stack.apply(x), np.concatenate([dense.apply(x), mat @ x]))
+    assert np.array_equal(stack.apply_adjoint(y), dense.apply_adjoint(y[:3]) + mat.T @ y[3:])
+    assert calls == ["apply", "adjoint"]
+
+
+def test_dense_solve_equals_lu_solve_on_its_factors_bitwise():
+    m, n, tau, mu_g, mu_f = 20, 30, 0.4, 0.1, 0.2
+    a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
+    pair = MismatchPair(random_matrix_op(11, m, n), random_matrix_op(12, m, n))
+    solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
+    assert solver.backend == "dense" and solver.eliminate_primal
+    rng = np.random.default_rng(13)
+    rx, ry = rng.standard_normal(n), rng.standard_normal(m)
+    w_ref = scipy.linalg.lu_solve(solver._lu, a * ry + tau * pair.forward.apply(rx))
+    v_ref = (rx - tau * pair.apply_surrogate_adjoint(w_ref)) / a
+    v, w = solver.solve(rx, ry)
+    assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("woodbury", [False, True])
+def test_inner_solve_rejects_non_finite_rhs(woodbury):
+    if woodbury:
+        pair = _woodbury_stacks(8)[0]
+    else:
+        pair = MismatchPair(random_matrix_op(14, 20, 30), random_matrix_op(15, 20, 30))
+    solver = InnerSystemSolver(pair, 0.3)
+    assert solver.backend == ("woodbury" if woodbury else "dense")
+    rx, ry = np.ones(pair.domain_dim), np.ones(pair.codomain_dim)
+    rx[3] = np.nan
+    with pytest.raises(ValueError):
+        solver.solve(rx, ry)
 
 
 def test_csv_round_trip(tmp_path):
