@@ -175,7 +175,11 @@ def test_emit_report_files(tmp_path):
     assert payload["statuses"]["mismatched"] == "max_iters"
     lines = (tmp_path / "quadratic_mismatched.csv").read_text().splitlines()
     assert lines[0].startswith("iter,dist_to_ref,objective,residual,wall_time_ms")
-    assert len(lines) == len(report.traces["mismatched"][1]) + 1
+    assert len(lines) == len(report.traces["mismatched"][1]) + 1 == 50 + 2
+    # the objective is written on every 10th row and the final one, else left empty
+    cells = [line.split(",") for line in lines[1:]]
+    assert all((row[2] == "") == (int(row[0]) % 10 != 0) for row in cells[:-1])
+    assert cells[-1][2] != ""
 
 
 def test_emit_report_empty_trace_and_images(tmp_path):

@@ -9,6 +9,8 @@ from mismatch_splitting.operators import (
 )
 from mismatch_splitting.proximal import prox_scaled_quadratic
 from mismatch_splitting.solvers import (
+    OBJECTIVE_EVERY,
+    TRACE_COLUMNS,
     CPStepper,
     LiftedState,
     PDDRStepper,
@@ -201,6 +203,81 @@ def test_run_non_finite_dual_is_diverged():
     assert result.status == "diverged"
     assert result.iterations == 3
     assert np.all(np.isfinite(result.state.x))
+
+
+class _BadPrimalStepper(_DualNaNStepper):
+    """Shrinks p each step and writes ``bad`` into x at step 3; (p, q) stay finite."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def step(self, state):
+        new = state.copy()
+        new.k += 1
+        new.p *= 0.5
+        if new.k == 3:
+            new.x[-1] = self.bad
+        return new
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_run_non_finite_primal_is_diverged(bad):
+    problem, *_ = quadratic_problem(12)
+    result = run(problem, _BadPrimalStepper(bad), StoppingRule(50, 1e-14),
+                 initial_state=gaussian_state(problem, seed=3))
+    assert result.status == "diverged"
+    assert result.iterations == 3
+    assert all(np.isfinite(row[TRACE_COLUMNS.index("residual")]) for row in result.trace[1:])
+
+
+def _stride_case(status):
+    """A (problem, stepper, stopping, initial state) that ends with ``status``."""
+    if status == "converged":
+        problem = scalar_problem()
+        return problem, PDDRStepper(problem, 0.2, 0.5), StoppingRule(5000, 1e-12), None
+    if status == "diverged":
+        from mismatch_splitting.proximal import prox_box_dual, prox_identity
+
+        pair = MismatchPair(ScaledIdentity(10, 1.0), ScaledIdentity(10, -0.01))
+        problem = SaddleProblem(prox_identity(), prox_box_dual(), pair)
+        return (problem, PDDRStepper(problem, 0.1, 1.0),
+                StoppingRule(20000, 1e-14, divergence_threshold=40.0),
+                gaussian_state(problem, seed=7))
+    problem, *_ = quadratic_problem(9)
+    init = gaussian_state(problem, seed=2)
+    if status == "max_iters":
+        return problem, PDDRStepper(problem, 0.2, 0.5), StoppingRule(37, 1e-16), init
+    # a resumed state: its only row is final but off the stride
+    init.k = 7
+    return problem, PDDRStepper(problem, 0.2, 0.5), StoppingRule(0), init
+
+
+@pytest.mark.parametrize("status", ["converged", "diverged", "max_iters", "zero_iters"])
+def test_objective_on_stride_and_final_row(status):
+    problem, stepper, stopping, init = _stride_case(status)
+    calls = []
+
+    def objective(x):
+        calls.append(x.copy())
+        return float(np.sum(x ** 3)) + 0.1
+
+    x_ref = np.ones(problem.primal_dim)
+    result = run(problem, stepper, stopping, initial_state=init, x_ref=x_ref,
+                 objective=objective, extra_metrics={"q_norm": lambda s: np.linalg.norm(s.q)})
+    assert result.status == ("max_iters" if status == "zero_iters" else status)
+    col = {name: i for i, name in enumerate(TRACE_COLUMNS)}
+    last = len(result.trace) - 1
+    expected = [i for i, row in enumerate(result.trace)
+                if row[col["iter"]] % OBJECTIVE_EVERY == 0 or i == last]
+    filled = [i for i, row in enumerate(result.trace) if row[col["objective"]] is not None]
+    assert filled == expected
+    assert len(calls) == len(expected)
+    assert result.trace[-1][col["iter"]] % OBJECTIVE_EVERY != 0
+    assert result.trace[-1][col["objective"]] == objective(result.state.x)
+    for i, row in enumerate(result.trace):
+        assert row[col["dist_to_ref"]] is not None and row[col["wall_time_ms"]] is not None
+        assert (row[col["residual"]] is not None) == (i > 0)
+    assert len(result.extras["q_norm"]) == len(result.trace)
 
 
 def test_stepper_validation():
