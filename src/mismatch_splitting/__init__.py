@@ -25,7 +25,6 @@ from .operators import (
     estimate_sigma_min,
     load_operator_csv,
     save_operator_csv,
-    solve_inner_system,
 )
 from .proximal import (
     ProxFn,
@@ -64,7 +63,6 @@ from .stepsize import (
 )
 from .analysis import (
     FixedPointReport,
-    check_existence,
     error_bound,
     fixed_point_report,
     inclusion_residual,

@@ -28,11 +28,6 @@ class FixedPointReport:
         return d
 
 
-def check_existence(profile):
-    """Strict test gamma_g * gamma_f > ||A-V||^2 / 4."""
-    return profile.exists_unique
-
-
 def inclusion_residual(problem, x, y, probe_tau=1.0):
     """Fixed-point defect of the mismatched inclusion at (x, y).
 
@@ -97,7 +92,7 @@ def fixed_point_report(problem, profile, x, y, probe_tau=1.0, x_true=None):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     report = FixedPointReport(
-        exists_unique=check_existence(profile),
+        exists_unique=profile.exists_unique,
         x_hat=x,
         y_hat=y,
         inclusion_residual=inclusion_residual(problem, x, y, probe_tau),

@@ -37,12 +37,12 @@ def _load_config(path):
     return data
 
 
-def _fill(cls, data, seed=None, allowed_extra=()):
+def _fill(cls, data, seed=None):
     names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names - set(allowed_extra)
+    unknown = set(data) - names
     if unknown:
         raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in data.items() if k in names}
+    kwargs = dict(data)
     if seed is not None:
         kwargs["seed"] = seed
     return cls(**kwargs)
@@ -68,13 +68,9 @@ def cli():
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--full-scale", is_flag=True, default=False)
-def quadratic(config_path, out_dir, seed, full_scale):
+def quadratic(config_path, out_dir, seed):
     """Quadratic saddle-point study with closed-form references."""
-    data = _load_config(config_path)
-    if full_scale:
-        data.setdefault("max_iters", 20000)
-    config = _fill(experiments.QuadraticConfig, data, seed)
+    config = _fill(experiments.QuadraticConfig, _load_config(config_path), seed)
     _finish(experiments.run_quadratic(config), out_dir)
 
 
@@ -82,8 +78,7 @@ def quadratic(config_path, out_dir, seed, full_scale):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--full-scale", is_flag=True, default=False)
-def counterexample(config_path, out_dir, seed, full_scale):
+def counterexample(config_path, out_dir, seed):
     """Identity-map divergence demonstration.
 
     The iterates drift away linearly, so exit code 2 needs a
@@ -93,8 +88,6 @@ def counterexample(config_path, out_dir, seed, full_scale):
     data = _load_config(config_path)
     if seed is not None:
         data["seed"] = seed
-    if full_scale:
-        data.setdefault("max_iters", 20000)
     allowed = {"dim", "alpha_mm", "tau", "theta", "seed", "max_iters",
                "divergence_threshold"}
     unknown = set(data) - allowed

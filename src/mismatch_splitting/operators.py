@@ -468,14 +468,13 @@ class InnerSystemSolver:
       R_A v = s/tau^2 exactly, so w = (r_y + s/tau)/b off D's rows and only
       D is applied to v.
     - ``"dense"``: LAPACK LU of the Schur complement on the smaller side,
-      densified if sparse, whenever both maps carry matrices.
-    - ``"iterative"``: matrix-free lgmres when an operator has no matrix.
+      densified if sparse.  A matrix-free map is materialised once, by
+      ``as_array``, at n applies and m*n floats.
 
-    The backend depends on structure alone, never on a size limit, and every
-    direct factorisation is guarded by its dgecon estimate ``rcond``; below
-    RCOND_FLOOR the system is reported singular; ``solve`` calls dgetrs on
-    the factors directly.  The ``iterative`` backend instead makes one probe
-    solve on construction.  ``factor_s`` is the factorisation wall time.
+    The backend depends on structure alone, never on a size limit.  Every
+    inner solve is a direct LU, guarded by its dgecon estimate ``rcond``:
+    below RCOND_FLOOR the system is reported singular; ``solve`` calls dgetrs
+    on the factors directly.  ``factor_s`` is the factorisation wall time.
     """
 
     def __init__(self, pair, tau, mu_g=0.0, mu_f=0.0):
@@ -495,11 +494,13 @@ class InnerSystemSolver:
         self.factor_s = time.perf_counter() - t0
 
     def _schur_matrix(self):
-        """Materialize the Schur complement if both maps carry matrices."""
-        ma = self.pair.forward.matrix
-        mv = self.pair.surrogate.matrix
-        if ma is None or mv is None:
-            return None
+        """Materialize the Schur complement, densifying a matrix-free map."""
+        fwd, sur = self.pair.forward, self.pair.surrogate
+        ma, mv = fwd.matrix, sur.matrix
+        if ma is None:
+            ma = fwd.as_array()
+        if mv is None:
+            mv = sur.as_array()
         t2 = self.tau**2
         ab = self.a * self.b
         if not scipy.sparse.issparse(mv) and np.shares_memory(ma, mv):
@@ -524,16 +525,9 @@ class InnerSystemSolver:
         if shared is not None:
             self._build_woodbury(*shared)
             return
-        schur = self._schur_matrix()
-        if schur is None:
-            self.backend = "iterative"
-            dim = self.pair.codomain_dim if self.eliminate_primal else self.pair.domain_dim
-            self._op = self._matfree_schur(dim)
-            self._schur_solve(np.random.default_rng(POWER_SEED).standard_normal(dim))
-        else:
-            self.backend = "dense"
-            self._lu, self.rcond = _dense_lu(schur)
-            self._check_rcond("Schur complement")
+        self.backend = "dense"
+        self._lu, self.rcond = _dense_lu(self._schur_matrix())
+        self._check_rcond("Schur complement")
 
     def _check_rcond(self, what):
         if not self.rcond >= RCOND_FLOOR:
@@ -593,17 +587,6 @@ class InnerSystemSolver:
         spec /= self._base_eig
         return (c_rows.T @ spec @ c_cols).reshape(x.shape)
 
-    def _matfree_schur(self, dim):
-        t2, ab = self.tau**2, self.a * self.b
-        pair = self.pair
-        if self.eliminate_primal:
-            def mv(w):
-                return ab * w + t2 * pair.forward.apply(pair.apply_surrogate_adjoint(w))
-        else:
-            def mv(v):
-                return ab * v + t2 * pair.apply_surrogate_adjoint(pair.forward.apply(v))
-        return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv)
-
     def _woodbury_solve(self, rhs, rhs_y):
         r_a, r_v_t = self._r
         s = _lu_solve(self._lu, r_a @ self._base_solve(rhs))
@@ -615,39 +598,21 @@ class InnerSystemSolver:
         w /= self.b
         return v, w
 
-    def _schur_solve(self, rhs):
-        if self.backend == "dense":
-            return _lu_solve(self._lu, rhs)
-        sol, info = scipy.sparse.linalg.lgmres(self._op, rhs, rtol=1e-13, atol=0.0, maxiter=2000)
-        if info != 0:
-            raise SingularInnerSystemError(
-                f"iterative inner solve failed to converge; tau = {self.tau:g} may "
-                "violate the bound tau < 1/||A - V||"
-            )
-        return sol
-
     def solve(self, rhs_x, rhs_y):
         """(v, w) with a v + tau V* w = rhs_x and -tau A v + b w = rhs_y."""
         tau, a, b = self.tau, self.a, self.b
         pair = self.pair
         if self.eliminate_primal:
             rhs = a * rhs_y + tau * pair.forward.apply(rhs_x)
-            w = self._schur_solve(rhs)
+            w = _lu_solve(self._lu, rhs)
             v = (rhs_x - tau * pair.apply_surrogate_adjoint(w)) / a
         else:
             rhs = b * rhs_x - tau * pair.apply_surrogate_adjoint(rhs_y)
             if self.backend == "woodbury":
                 return self._woodbury_solve(rhs, rhs_y)
-            v = self._schur_solve(rhs)
+            v = _lu_solve(self._lu, rhs)
             w = (rhs_y + tau * pair.forward.apply(v)) / b
         return v, w
-
-
-def solve_inner_system(pair, tau, mu_g, mu_f, rhs_x, rhs_y):
-    """One-shot inner solve; the factorization is cached on the pair."""
-    return pair.inner_solver(tau, mu_g, mu_f).solve(
-        np.asarray(rhs_x, dtype=float), np.asarray(rhs_y, dtype=float)
-    )
 
 
 def load_operator_csv(path):

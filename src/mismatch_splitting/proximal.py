@@ -2,8 +2,7 @@
 
 A ProxFn bundles the prox map with its declared strong-convexity modulus;
 the objective a run reports is passed to solvers.run on its own.  The strong
-convexity value is user-declared; a randomized monotonicity spot-check is
-available but only warns on violation.
+convexity value is user-declared.
 """
 
 from __future__ import annotations
@@ -126,29 +125,3 @@ def firm_nonexpansiveness_defect(prox, a, b, tau=1.0):
     d = pa - pb
     return float(d @ d) - float(d @ (a - b))
 
-
-def check_strong_convexity(prox, rng, n_trials=20, tau=0.5, dim=8):
-    """Randomized spot-check of the declared modulus; warns, never raises.
-
-    Monotonicity of (prox^{-1} - I)/tau is probed through prox outputs:
-    for u = prox(a), v = prox(b) the subgradient difference is
-    ((a-u) - (b-v))/tau and must dominate gamma ||u - v||^2.
-    """
-    gamma = prox.strong_convexity
-    if gamma <= 0:
-        return True
-    for _ in range(n_trials):
-        a = rng.standard_normal(dim)
-        b = rng.standard_normal(dim)
-        u = prox(a, tau)
-        v = prox(b, tau)
-        lhs = float((u - v) @ ((a - u) - (b - v))) / tau
-        bound = gamma * float((u - v) @ (u - v))
-        if lhs < bound - 1e-9 * max(1.0, bound):
-            warnings.warn(
-                f"declared strong convexity {gamma} violated in spot-check "
-                f"({lhs:.3e} < {bound:.3e})",
-                stacklevel=2,
-            )
-            return False
-    return True

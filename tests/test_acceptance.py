@@ -150,7 +150,7 @@ def test_scalar_existence_example():
     t0 = time.perf_counter()
     # G = x^2/2, F* = y^2/2 + 3y, A = 1
     profile_bad = stepsize.ConvexityProfile(1.0, 1.0, 2.0)  # V* = -1
-    no_existence = not analysis.check_existence(profile_bad)
+    no_existence = not profile_bad.exists_unique
     # stationarity system x + V* y = 0, x - y = 3 is inconsistent for V* = -1
     system = np.array([[1.0, -1.0], [1.0, -1.0]])
     rhs = np.array([0.0, 3.0])

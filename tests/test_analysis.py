@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mismatch_splitting.analysis import (
-    check_existence,
     error_bound,
     fixed_point_report,
     inclusion_residual,
@@ -24,19 +23,6 @@ def scalar_problem(v_scale):
         prox_scaled_quadratic(1.0, shift=np.array([3.0])),
         pair,
     )
-
-
-def test_check_existence_thresholds():
-    assert not check_existence(ConvexityProfile(1.0, 1.0, 2.0))
-    assert check_existence(ConvexityProfile(1.0, 1.0, 1.5))
-    assert check_existence(ConvexityProfile(1.0, 1.0, 0.0))
-
-
-@given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.5, 2.0))
-def test_check_existence_flips_at_threshold(gamma_g, gamma_f, scale):
-    d_crit = 2.0 * np.sqrt(gamma_g * gamma_f)
-    profile = ConvexityProfile(gamma_g, gamma_f, scale * d_crit)
-    assert check_existence(profile) == (scale < 1.0)
 
 
 def test_inclusion_residual_scalar_fixed_point():

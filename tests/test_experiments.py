@@ -293,3 +293,8 @@ def test_cli_error_exits(tmp_path):
     assert cli_main(["quadratic", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
     assert cli_main(["no-such-command"]) == 1
+
+
+def test_cli_quadratic_has_no_full_scale_flag(tmp_path):
+    # max_iters is set through --config; only tomo keeps --full-scale
+    assert cli_main(["quadratic", "--out", str(tmp_path), "--full-scale"]) == 1

@@ -22,7 +22,6 @@ from mismatch_splitting.operators import (
     estimate_sigma_min,
     load_operator_csv,
     save_operator_csv,
-    solve_inner_system,
 )
 from mismatch_splitting.tomo import ParallelGeometry, build_projector_pair, ray_driven_matrix
 
@@ -190,7 +189,7 @@ def test_inner_system_identity():
     pair = MismatchPair(ZeroOperator(3, 4), ZeroOperator(3, 4))
     rx = np.arange(3.0)
     ry = np.arange(4.0)
-    v, w = solve_inner_system(pair, 0.5, 0.0, 0.0, rx, ry)
+    v, w = pair.inner_solver(0.5, 0.0, 0.0).solve(rx, ry)
     assert np.allclose(v, rx) and np.allclose(w, ry)
 
 
@@ -200,7 +199,7 @@ def test_inner_system_scalar_prefactor():
     pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -alpha))
     rx = np.array([1.7])
     ry = np.array([-0.3])
-    v, w = solve_inner_system(pair, tau, 0.0, 0.0, rx, ry)
+    v, w = pair.inner_solver(tau, 0.0, 0.0).solve(rx, ry)
     beta = 1.0 / (1.0 - alpha * tau**2)
     assert abs(v[0] - beta * (rx[0] + alpha * tau * ry[0])) <= 1e-14
     assert abs(w[0] - beta * (tau * rx[0] + ry[0])) <= 1e-14
@@ -216,7 +215,7 @@ def test_inner_system_residual(seed, tau, mu_g, mu_f):
     rng = np.random.default_rng(seed + 2)
     rx = rng.standard_normal(30)
     ry = rng.standard_normal(20)
-    v, w = solve_inner_system(pair, tau, mu_g, mu_f, rx, ry)
+    v, w = pair.inner_solver(tau, mu_g, mu_f).solve(rx, ry)
     res_x = (1 + tau * mu_g) * v + tau * pair.apply_surrogate_adjoint(w) - rx
     res_y = -tau * pair.forward.apply(v) + (1 + tau * mu_f) * w - ry
     scale = max(np.linalg.norm(rx), np.linalg.norm(ry), 1.0)
@@ -238,7 +237,7 @@ def test_inner_system_singularity_names_tau_bound():
     # A = 1, V* = -1, tau = 1: Schur complement 1 - tau^2 = 0
     pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -1.0))
     with pytest.raises(SingularInnerSystemError, match="tau"):
-        solve_inner_system(pair, 1.0, 0.0, 0.0, np.ones(1), np.ones(1))
+        pair.inner_solver(1.0, 0.0, 0.0).solve(np.ones(1), np.ones(1))
 
 
 def test_inner_system_singularity_guard_above_dense_limit():
@@ -280,25 +279,32 @@ def _matrix_free(mat):
     return FunctionOperator(mat.shape[1], mat.shape[0], lambda x: mat @ x, lambda y: mat.T @ y)
 
 
-def test_inner_system_matrix_free_pair_solves_iteratively():
-    m, n, tau, mu_g, mu_f = 20, 30, 0.4, 0.1, 0.2
+@pytest.mark.parametrize("m, n", [(20, 30), (30, 20)])
+def test_inner_system_matrix_free_pair_solves_on_dense_lu(m, n):
+    tau, mu_g, mu_f = 0.4, 0.1, 0.2
     a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
     rng = np.random.default_rng(5)
     a_mat, v_mat = (rng.standard_normal((m, n)) / np.sqrt(n) for _ in range(2))
     solver = InnerSystemSolver(MismatchPair(_matrix_free(a_mat), _matrix_free(v_mat)),
                                tau, mu_g, mu_f)
-    assert solver.backend == "iterative"
+    assert solver.backend == "dense"
     system = np.block([[a * np.eye(n), tau * v_mat.T], [-tau * a_mat, b * np.eye(m)]])
     rhs = rng.standard_normal(n + m)
-    got = np.concatenate(solver.solve(rhs[:n], rhs[n:]))
-    assert np.linalg.norm(system @ got - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    got = solver.solve(rhs[:n], rhs[n:])
+    assert np.linalg.norm(system @ np.concatenate(got) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    # materialising the maps reproduces the matrix-backed twin bit for bit
+    twin = InnerSystemSolver(MismatchPair(MatrixOperator(a_mat), MatrixOperator(v_mat)),
+                             tau, mu_g, mu_f)
+    assert solver.rcond == twin.rcond
+    for part, twin_part in zip(got, twin.solve(rhs[:n], rhs[n:])):
+        assert part.tobytes() == twin_part.tobytes()
 
 
 def test_inner_system_matrix_free_singular_pair_names_tau():
     # A = I, V* = -I / tau^2: the Schur complement I + tau^2 A V* is exactly 0
     d, tau = 5, 0.5
     pair = MismatchPair(_matrix_free(np.eye(d)), _matrix_free(-np.eye(d) / tau**2))
-    # the constructor's probe solve refuses it, as dgecon does for the direct backends
+    # the materialised Schur complement is refused by dgecon, as for any other pair
     with pytest.raises(SingularInnerSystemError, match="tau"):
         InnerSystemSolver(pair, tau)
 

@@ -3,8 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mismatch_splitting.proximal import (
-    ProxFn,
-    check_strong_convexity,
     firm_nonexpansiveness_defect,
     project_linf2,
     prox_box_dual,
@@ -123,10 +121,3 @@ def test_rescaling_identity_random_quadratics(seed, mu, alpha_extra):
     denom = 1.0 - lam * mu
     expected = base(x / denom, lam / denom)
     assert np.allclose(shifted(x, lam), expected, atol=1e-12)
-
-
-def test_strong_convexity_spot_check_warns(rng):
-    bogus = ProxFn(lambda p, tau: p, strong_convexity=1.0)
-    with pytest.warns(UserWarning):
-        assert not check_strong_convexity(bogus, rng)
-    assert check_strong_convexity(prox_scaled_quadratic(0.8), rng)

@@ -178,6 +178,13 @@ def test_existence_flag():
     assert ConvexityProfile(1.0, 1.0, 0.0).exists_unique
 
 
+@given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.5, 2.0))
+def test_exists_unique_flips_at_threshold(gamma_g, gamma_f, scale):
+    d_crit = 2.0 * np.sqrt(gamma_g * gamma_f)
+    profile = ConvexityProfile(gamma_g, gamma_f, scale * d_crit)
+    assert profile.exists_unique == (scale < 1.0)
+
+
 def dense_spectrum(pair, g, f):
     """(sigma_min, ||B||) of the shifted skew block [[g I, V*], [-A, f I]]."""
     svals = np.linalg.svd(BlockSkewOperator(pair, g, f).as_array(), compute_uv=False)
