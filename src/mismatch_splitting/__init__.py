@@ -29,12 +29,10 @@ from .operators import (
 from .proximal import (
     ProxFn,
     firm_nonexpansiveness_defect,
-    project_linf2,
     prox_box_dual,
     prox_convex_shifted,
     prox_identity,
     prox_l1,
-    prox_linf2_ball,
     prox_scaled_quadratic,
     soft_threshold,
 )

@@ -71,8 +71,10 @@ def quadratic_reference(A, V, alpha, beta, z):
     A = np.asarray(A, dtype=float)
     V = np.asarray(V, dtype=float)
     z = np.asarray(z, dtype=float)
-    m = A.shape[0]
-    core_mm = alpha * beta * np.eye(m) + A @ V.T
+    eye = alpha * beta * np.eye(A.shape[0])
+    # scipy's dgemm forms both on the OpenBLAS whose LAPACK solves with them
+    # (a LAPACK call right after a numpy product waits on numpy's own threads)
+    core_mm = scipy.linalg.blas.dgemm(1.0, A.T, V.T, 1.0, eye, trans_a=True)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             s = scipy.linalg.solve(core_mm, z)
@@ -83,7 +85,8 @@ def quadratic_reference(A, V, alpha, beta, z):
         raise np.linalg.LinAlgError("alpha*beta I + A V^T is singular")
     x_hat = V.T @ s
     y_hat = -alpha * s
-    x_star = A.T @ scipy.linalg.solve(alpha * beta * np.eye(m) + A @ A.T, z, assume_a="pos")
+    core_aa = scipy.linalg.blas.dgemm(1.0, A.T, A.T, 1.0, eye, trans_a=True)
+    x_star = A.T @ scipy.linalg.solve(core_aa, z, assume_a="pos")
     return x_hat, y_hat, x_star
 
 

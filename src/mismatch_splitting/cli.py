@@ -77,8 +77,7 @@ def quadratic(config_path, out_dir, seed):
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
-def counterexample(config_path, out_dir, seed):
+def counterexample(config_path, out_dir):
     """Identity-map divergence demonstration.
 
     The iterates drift away linearly, so exit code 2 needs a
@@ -86,8 +85,6 @@ def counterexample(config_path, out_dir, seed):
     {"max_iters": 50000, "divergence_threshold": 40}; the defaults exit 0.
     """
     data = _load_config(config_path)
-    if seed is not None:
-        data["seed"] = seed
     allowed = {"dim", "alpha_mm", "tau", "theta", "seed", "max_iters",
                "divergence_threshold"}
     unknown = set(data) - allowed

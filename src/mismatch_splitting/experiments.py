@@ -97,8 +97,8 @@ def certified_plan(pair, gamma_g, gamma_f, theta):
 def _plan_summary(pair, plan):
     """Summary entries of a certified plan.  Under ``spectral``: its
     closed-form bounds on sigma_min and ||B_sigma||, and, for a shifted skew
-    block of at most DENSE_DIM_LIMIT rows, the dense-SVD sigma_min and the
-    ratio of the bound to it."""
+    block of at most DENSE_DIM_LIMIT rows, sigma_min = 1/||B_sigma^{-1}||
+    from estimate_sigma_min and the ratio of the bound to it."""
     spectral = {"sigma_lower_bound": plan.sigma, "b_sigma_upper_bound": plan.b_sigma_norm}
     block = BlockSkewOperator(pair, plan.mu_tilde_g, plan.mu_tilde_f)
     if block.domain_dim <= DENSE_DIM_LIMIT:
@@ -271,8 +271,9 @@ def huber_tv_prox(lam0, lam1, eps, z, sino_size, n_pixels):
 
     Dual layout is [data part (sino_size); gradient part (2 n_pixels)].
     The data block is a shifted quadratic; the gradient block is the
-    Huber-smoothed dual, a rescale followed by a radial projection
-    (project_linf2, written out on the (2, n_pixels) layout).
+    Huber-smoothed dual, a rescale followed by the pixelwise radial
+    projection onto the l_{inf,2} ball of radius lam1, written out on the
+    (2, n_pixels) layout.
     """
     if lam1 < 0:
         raise ValueError("radius lam1 must be nonnegative")

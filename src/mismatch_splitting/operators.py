@@ -407,18 +407,34 @@ class BlockSkewOperator(LinearMap):
 
 
 def estimate_sigma_min(block):
-    """Smallest singular value of a BlockSkewOperator by dense SVD.
+    """Smallest singular value of a BlockSkewOperator M, as 1/||M^{-1}||_2.
 
-    A diagnostic for blocks of at most DENSE_DIM_LIMIT total rows, reported
-    next to the closed-form bound that the step-size plan uses; larger
-    blocks raise ValueError and should use stepsize.sigma_min_lower_bound.
+    ``solve`` and ``solve_transpose`` of an InnerSystemSolver at tau = 1,
+    a = shift_g, b = shift_f (not cached on the pair) apply M^{-1} and
+    M^{-T}; estimate_operator_norm takes the norm with its residual check.
+    The shifts must be positive (ValueError); a singular block raises
+    SingularInnerSystemError naming them.  A diagnostic for blocks of at
+    most DENSE_DIM_LIMIT total rows, reported next to the closed-form bound
+    of the step-size plan; larger blocks raise ValueError and should use
+    stepsize.sigma_min_lower_bound.
     """
     if block.domain_dim > DENSE_DIM_LIMIT:
         raise ValueError(
-            f"sigma_min by dense SVD needs at most DENSE_DIM_LIMIT = {DENSE_DIM_LIMIT} "
+            f"the sigma_min diagnostic needs at most DENSE_DIM_LIMIT = {DENSE_DIM_LIMIT} "
             f"rows, the block has {block.domain_dim}; use the closed-form bound "
             "stepsize.sigma_min_lower_bound instead")
-    return float(np.linalg.svd(block.as_array(), compute_uv=False)[-1])
+    g, f = block.shift_g, block.shift_f
+    try:
+        solver = InnerSystemSolver(block.pair, 1.0, g - 1.0, f - 1.0)
+    except SingularInnerSystemError as exc:
+        raise SingularInnerSystemError(
+            f"the shifted skew block with shifts g = {g:.6g}, f = {f:.6g} is "
+            "singular to working precision") from exc
+    n, dim = block.pair.domain_dim, block.domain_dim
+    inverse = FunctionOperator(
+        dim, dim, lambda u: np.concatenate(solver.solve(u[:n], u[n:])),
+        lambda u: np.concatenate(solver.solve_transpose(u[:n], u[n:])))
+    return 1.0 / estimate_operator_norm(inverse)
 
 
 def dct_matrix(n):
@@ -440,10 +456,11 @@ def _dense_lu(mat):
     return (lu, piv), float(rcond)
 
 
-def _lu_solve(lu_piv, rhs):
-    """LAPACK dgetrs on _dense_lu factors, which dgecon checked once; only the
-    right-hand side is checked for finiteness (ValueError)."""
-    x, info = scipy.linalg.lapack.dgetrs(*lu_piv, np.asarray_chkfinite(rhs, dtype=float))
+def _lu_solve(lu_piv, rhs, trans=0):
+    """LAPACK dgetrs on _dense_lu factors, which dgecon checked once (with the
+    transposed matrix when ``trans`` is 1); only the right-hand side is
+    checked for finiteness (ValueError)."""
+    x, info = scipy.linalg.lapack.dgetrs(*lu_piv, np.asarray_chkfinite(rhs, dtype=float), trans)
     if info != 0:
         raise ValueError(f"dgetrs: illegal value in argument {-info}")
     return x
@@ -454,8 +471,11 @@ class InnerSystemSolver:
 
     ``solve`` solves the system by Schur-complement elimination, with
     a = 1 + tau*mu_g and b = 1 + tau*mu_f: the system of one PDDR iteration.
-    The Schur complement is factored once, on construction, by a backend
-    chosen from the structure of the pair (``backend``):
+    ``solve_transpose`` solves the transposed system on the same factors;
+    at tau = 1 the pair gives M^{-1} and M^{-T} of the shifted skew block M
+    that estimate_sigma_min needs.  The Schur complement is factored once,
+    on construction, by a backend chosen from the structure of the pair
+    (``backend``):
 
     - ``"woodbury"``: forward and surrogate are VStackMaps that share one
       block exposing ``image_shape`` and ``dct_eigenvalues``, the spectrum
@@ -468,8 +488,9 @@ class InnerSystemSolver:
       R_A v = s/tau^2 exactly, so w = (r_y + s/tau)/b off D's rows and only
       D is applied to v.
     - ``"dense"``: LAPACK LU of the Schur complement on the smaller side,
-      densified if sparse.  A matrix-free map is materialised once, by
-      ``as_array``, at n applies and m*n floats.
+      densified if sparse, and formed by scipy's dgemm if dense.  A
+      matrix-free map is materialised once, by ``as_array``, at n applies
+      and m*n floats.
 
     The backend depends on structure alone, never on a size limit.  Every
     inner solve is a direct LU, guarded by its dgecon estimate ``rcond``:
@@ -494,7 +515,8 @@ class InnerSystemSolver:
         self.factor_s = time.perf_counter() - t0
 
     def _schur_matrix(self):
-        """Materialize the Schur complement, densifying a matrix-free map."""
+        """Materialize the Schur complement ab I + tau^2 A V* (V* A on the
+        domain side), densifying a matrix-free map."""
         fwd, sur = self.pair.forward, self.pair.surrogate
         ma, mv = fwd.matrix, sur.matrix
         if ma is None:
@@ -502,23 +524,18 @@ class InnerSystemSolver:
         if mv is None:
             mv = sur.as_array()
         t2 = self.tau**2
-        ab = self.a * self.b
-        if not scipy.sparse.issparse(mv) and np.shares_memory(ma, mv):
-            # break the aliasing so the product below uses the generic gemm
-            # kernel; the symmetric-product shortcut rounds differently and
-            # would make an adjoint-consistent pair disagree bit for bit with
-            # a surrogate that merely equals the forward map
-            mv = mv.copy()
+        ab_eye = self.a * self.b * np.eye(
+            self.pair.codomain_dim if self.eliminate_primal else self.pair.domain_dim)
+        if scipy.sparse.issparse(ma) or scipy.sparse.issparse(mv):
+            prod = ma @ mv.T if self.eliminate_primal else mv.T @ ma
+            return ab_eye + t2 * (prod.toarray() if scipy.sparse.issparse(prod) else prod)
+        # scipy's dgemm forms it on the OpenBLAS whose dgetrf factors it (a
+        # LAPACK call right after a numpy product waits on numpy's own BLAS
+        # threads); it has no symmetric-product shortcut, so V = A rounds as
+        # a copy of A does
         if self.eliminate_primal:
-            # codomain-sized system: ab I + tau^2 A V*
-            prod = ma @ mv.T
-            dim = self.pair.codomain_dim
-        else:
-            prod = mv.T @ ma
-            dim = self.pair.domain_dim
-        if scipy.sparse.issparse(prod):
-            prod = prod.toarray()
-        return ab * np.eye(dim) + t2 * prod
+            return scipy.linalg.blas.dgemm(t2, ma.T, mv.T, 1.0, ab_eye, trans_a=True)
+        return scipy.linalg.blas.dgemm(t2, mv.T, ma.T, 1.0, ab_eye, trans_b=True)
 
     def _build(self):
         shared = self._shared_dct_block()
@@ -587,31 +604,47 @@ class InnerSystemSolver:
         spec /= self._base_eig
         return (c_rows.T @ spec @ c_cols).reshape(x.shape)
 
-    def _woodbury_solve(self, rhs, rhs_y):
+    @functools.cached_property
+    def _r_transposed(self):
+        """(R_V, R_A^T) for the transposed Woodbury solve, formed on first use."""
         r_a, r_v_t = self._r
-        s = _lu_solve(self._lu, r_a @ self._base_solve(rhs))
-        v = self._base_solve(rhs - r_v_t @ s)
+        return _transposed(r_v_t), _transposed(r_a)
+
+    def _woodbury_solve(self, rhs, rhs_y, tau, trans):
+        """Woodbury solve for ``_solve``; transposed, C^T is the capacitance
+        (B is symmetric): s = C^{-T} R_V B^{-1} r, v = B^{-1} (r - R_A^T s)."""
+        left, right = self._r_transposed if trans else self._r
+        s = _lu_solve(self._lu, left @ self._base_solve(rhs), trans)
+        v = self._base_solve(rhs - right @ s)
         grad, d, rest = self._shared
         w = np.empty(self.pair.codomain_dim)
-        w[d] = rhs_y[d] + self.tau * grad.apply(v)
-        w[rest] = rhs_y[rest] + s / self.tau
+        w[d] = rhs_y[d] + tau * grad.apply(v)
+        w[rest] = rhs_y[rest] + s / tau
         w /= self.b
         return v, w
 
     def solve(self, rhs_x, rhs_y):
         """(v, w) with a v + tau V* w = rhs_x and -tau A v + b w = rhs_y."""
-        tau, a, b = self.tau, self.a, self.b
-        pair = self.pair
+        return self._solve(rhs_x, rhs_y, self.tau, self.pair.forward, self.pair.surrogate, 0)
+
+    def solve_transpose(self, rhs_x, rhs_y):
+        """(v, w) with a v - tau A* w = rhs_x and tau V v + b w = rhs_y: the
+        system of ``solve`` with A, V swapped and tau negated, whose Schur
+        complement or capacitance is the transpose of the factored one."""
+        return self._solve(rhs_x, rhs_y, -self.tau, self.pair.surrogate, self.pair.forward, 1)
+
+    def _solve(self, rhs_x, rhs_y, tau, fwd, sur, trans):
+        a, b = self.a, self.b
         if self.eliminate_primal:
-            rhs = a * rhs_y + tau * pair.forward.apply(rhs_x)
-            w = _lu_solve(self._lu, rhs)
-            v = (rhs_x - tau * pair.apply_surrogate_adjoint(w)) / a
+            rhs = a * rhs_y + tau * fwd.apply(rhs_x)
+            w = _lu_solve(self._lu, rhs, trans)
+            v = (rhs_x - tau * sur.apply_adjoint(w)) / a
         else:
-            rhs = b * rhs_x - tau * pair.apply_surrogate_adjoint(rhs_y)
+            rhs = b * rhs_x - tau * sur.apply_adjoint(rhs_y)
             if self.backend == "woodbury":
-                return self._woodbury_solve(rhs, rhs_y)
-            v = _lu_solve(self._lu, rhs)
-            w = (rhs_y + tau * pair.forward.apply(v)) / b
+                return self._woodbury_solve(rhs, rhs_y, tau, trans)
+            v = _lu_solve(self._lu, rhs, trans)
+            w = (rhs_y + tau * fwd.apply(v)) / b
         return v, w
 
 

@@ -34,10 +34,11 @@ from mismatch_splitting.proximal import (
     prox_convex_shifted,
     prox_identity,
     prox_l1,
-    prox_linf2_ball,
     prox_scaled_quadratic,
     soft_threshold,
 )
+
+from linf2_reference import prox_linf2_ball
 
 
 _CAPTURE = None

@@ -16,7 +16,8 @@ from mismatch_splitting.experiments import (
     huber_tv_prox,
     write_pgm,
 )
-from mismatch_splitting.proximal import project_linf2
+
+from linf2_reference import project_linf2
 
 
 def test_counterexample_matched_control_contracts():
@@ -128,7 +129,7 @@ def test_tomography_reports_spectral_bounds_and_guarantee():
     spectral = s["spectral"]
     assert spectral["sigma_lower_bound"] == report.plan["sigma"]
     assert spectral["b_sigma_upper_bound"] == report.plan["b_sigma_norm"]
-    # a 16^2 block (832 rows) is small enough for the dense-SVD diagnostic
+    # a 16^2 block (832 rows) is within DENSE_DIM_LIMIT for the sigma_min diagnostic
     assert 0.0 < spectral["sigma_bound_ratio"] <= 1.0
     assert spectral["sigma_min"] * spectral["sigma_bound_ratio"] == pytest.approx(
         spectral["sigma_lower_bound"], rel=1e-12)
@@ -293,6 +294,11 @@ def test_cli_error_exits(tmp_path):
     assert cli_main(["quadratic", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
     assert cli_main(["no-such-command"]) == 1
+
+
+def test_cli_counterexample_has_no_seed_flag(tmp_path):
+    # the seed is set through --config
+    assert cli_main(["counterexample", "--out", str(tmp_path), "--seed", "3"]) == 1
 
 
 def test_cli_quadratic_has_no_full_scale_flag(tmp_path):

@@ -160,7 +160,7 @@ def test_block_skew_matrix_equals_column_build(kind):
     block = BlockSkewOperator(pair, 0.7, 0.3)
     assert scipy.sparse.issparse(block.matrix) == (kind == "projector")
     columns = np.column_stack([block.apply(e) for e in np.eye(block.domain_dim)])
-    # equal entries, so the dense-path sigma_min is bit-identical too
+    # the block matrix equals its column-by-column build entry for entry
     assert np.array_equal(block.as_array(), columns)
 
 
@@ -175,6 +175,50 @@ def test_sigma_min_scalar_closed_form():
     pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -0.5))
     block = BlockSkewOperator(pair, 1.0, 1.0)
     assert abs(estimate_sigma_min(block) - 0.2807764064044151) <= 1e-10
+
+
+def _svd_sigma_min(block):
+    return float(np.linalg.svd(block.as_array(), compute_uv=False)[-1])
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 12),
+       st.floats(0.0, 0.5), st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+def test_sigma_min_matches_dense_svd_on_random_pairs(seed, m, n, eta, g, f):
+    # ||A - V|| = eta keeps sigma_min >= min(g, f) - eta/2 >= 1/4
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) / np.sqrt(n)
+    e = rng.standard_normal((m, n))
+    e *= eta / np.linalg.svd(e, compute_uv=False)[0]
+    pair = MismatchPair(MatrixOperator(a), MatrixOperator(a - e))
+    block = BlockSkewOperator(pair, g, f)
+    ref = _svd_sigma_min(block)
+    assert abs(estimate_sigma_min(block) - ref) <= 1e-12 * ref
+    assert not pair._solver_cache
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "projector"])
+def test_sigma_min_matches_dense_svd(kind):
+    if kind == "quadratic":
+        from mismatch_splitting.experiments import QuadraticConfig, _quadratic_operators
+        from mismatch_splitting.stepsize import ConvexityProfile, select_mus
+
+        config = QuadraticConfig()
+        a, v, _ = _quadratic_operators(config)
+        pair = MismatchPair(MatrixOperator(a), MatrixOperator(v))
+        _, g, _, f = select_mus(ConvexityProfile(config.alpha, config.beta, pair.mismatch_norm))
+    else:
+        pair = build_projector_pair(ParallelGeometry(16, 6, 16)).mismatch_pair()
+        g, f = 0.7, 0.3
+    block = BlockSkewOperator(pair, g, f)
+    ref = _svd_sigma_min(block)
+    assert abs(estimate_sigma_min(block) - ref) <= 1e-12 * ref
+
+
+def test_sigma_min_of_singular_block_raises_naming_the_shifts():
+    # [[1, -1], [-1, 1]] is singular: V* = -1, A = 1, g = f = 1
+    pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -1.0))
+    with pytest.raises(SingularInnerSystemError, match="g = 1, f = 1"):
+        estimate_sigma_min(BlockSkewOperator(pair, 1.0, 1.0))
 
 
 def test_sigma_min_iterative_path_needs_matrices(monkeypatch):
@@ -460,6 +504,40 @@ def test_inner_solve_rejects_non_finite_rhs(woodbury):
     rx[3] = np.nan
     with pytest.raises(ValueError):
         solver.solve(rx, ry)
+
+
+def _check_transposed_solve(solver, rng):
+    """solve_transpose solves M^T u = s to 1e-12, and <M^-1 r, s> = <r, M^-T s>."""
+    a_mat, v_mat = solver.pair.forward.as_array(), solver.pair.surrogate.as_array()
+    m, n = a_mat.shape
+    system = np.block([[solver.a * np.eye(n), solver.tau * v_mat.T],
+                       [-solver.tau * a_mat, solver.b * np.eye(m)]])
+    r, s = rng.standard_normal((2, n + m))
+    got = np.concatenate(solver.solve_transpose(s[:n], s[n:]))
+    assert np.linalg.norm(system.T @ got - s) <= 1e-12 * np.linalg.norm(s)
+    inv_r = np.concatenate(solver.solve(r[:n], r[n:]))
+    assert abs(inv_r @ s - r @ got) <= 1e-12 * np.linalg.norm(inv_r) * np.linalg.norm(s)
+
+
+@pytest.mark.parametrize("m, n", [(20, 30), (30, 20)])
+def test_solve_transpose_dense_pair(m, n):
+    rng = np.random.default_rng(m)
+    a_mat, v_mat = (rng.standard_normal((m, n)) / np.sqrt(n) for _ in range(2))
+    pair = MismatchPair(MatrixOperator(a_mat), MatrixOperator(v_mat))
+    for tau, mu_g, mu_f in ((0.05, 0.0, 0.0), (0.4, 0.1, 0.2), (1.5, 0.1, 0.6)):
+        solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
+        assert solver.backend == "dense" and solver.eliminate_primal == (m <= n)
+        _check_transposed_solve(solver, rng)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_solve_transpose_woodbury_stacks(order):
+    pair = _woodbury_stacks(8)[order]
+    rng = np.random.default_rng(order)
+    for tau, mu_g, mu_f in ((0.05, 0.0, 0.0), (0.3, 0.5, 0.2), (1.5, 0.1, 0.6)):
+        solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
+        assert solver.backend == "woodbury"
+        _check_transposed_solve(solver, rng)
 
 
 def test_csv_round_trip(tmp_path):
