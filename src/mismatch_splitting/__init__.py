@@ -19,12 +19,9 @@ from .operators import (
     ScaledIdentity,
     SingularInnerSystemError,
     VStackMap,
-    ZeroOperator,
-    adjoint_defect,
     estimate_operator_norm,
     estimate_sigma_min,
     load_operator_csv,
-    save_operator_csv,
 )
 from .proximal import (
     ProxFn,

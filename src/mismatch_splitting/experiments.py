@@ -109,14 +109,14 @@ def _plan_summary(pair, plan):
 
 
 def _trace_from_result(result):
-    """Flatten a RunResult into (columns, rows) with extras appended."""
-    columns = list(solvers.TRACE_COLUMNS)
+    """Flatten a RunResult into (columns, rows) with extras appended; without
+    extras the rows are ``result.trace``'s own tuples, not copies."""
     extra_names = sorted(result.extras)
-    columns += extra_names
-    rows = []
-    for i, row in enumerate(result.trace):
-        rows.append(list(row) + [result.extras[name][i] for name in extra_names])
-    return tuple(columns), rows
+    columns = solvers.TRACE_COLUMNS + tuple(extra_names)
+    if not extra_names:
+        return columns, result.trace
+    extras = zip(*(result.extras[name] for name in extra_names))
+    return columns, [row + extra for row, extra in zip(result.trace, extras)]
 
 
 def _run_suite(report, problem, plan, norms, stopping, objective, x_ref,
@@ -215,7 +215,7 @@ def _quadratic_operators(config):
     a = rng.standard_normal((config.m, config.n)) / math.sqrt(config.n)
     e = rng.standard_normal((config.m, config.n))
     if config.mismatch_eta > 0:
-        e *= config.mismatch_eta / np.linalg.svd(e, compute_uv=False)[0]
+        e *= config.mismatch_eta / estimate_operator_norm(MatrixOperator(e))
     else:
         e[:] = 0.0
     z = rng.standard_normal(config.m)

@@ -126,22 +126,6 @@ class FunctionOperator(LinearMap):
         return self._adjoint(np.asarray(y, dtype=float))
 
 
-class ZeroOperator(LinearMap):
-    def __init__(self, domain_dim, codomain_dim):
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
-
-    @property
-    def matrix(self):
-        return np.zeros((self.codomain_dim, self.domain_dim))
-
-    def apply(self, x):
-        return np.zeros(self.codomain_dim)
-
-    def apply_adjoint(self, y):
-        return np.zeros(self.domain_dim)
-
-
 class ScaledIdentity(LinearMap):
     def __init__(self, dim, scale=1.0):
         self.domain_dim = dim
@@ -225,19 +209,6 @@ class VStackMap(LinearMap):
         for b, lo, hi in zip(self.blocks, self._offsets[:-1], self._offsets[1:]):
             out += b.apply_adjoint(y[lo:hi])
         return out
-
-
-def adjoint_defect(op, rng, n_trials=100):
-    """Max relative defect of <Ax, y> - <x, A^T y> over random probe pairs."""
-    worst = 0.0
-    for _ in range(n_trials):
-        x = rng.standard_normal(op.domain_dim)
-        y = rng.standard_normal(op.codomain_dim)
-        lhs = float(op.apply(x) @ y)
-        rhs = float(x @ op.apply_adjoint(y))
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
 
 
 def estimate_operator_norm(op, tol=1e-9, max_iters=5000):
@@ -656,11 +627,3 @@ def load_operator_csv(path):
         data = np.loadtxt(fh, delimiter=",")
     mat = np.asarray(data, dtype=float).reshape(rows, cols)
     return MatrixOperator(mat)
-
-
-def save_operator_csv(op, path):
-    mat = op.as_array()
-    rows, cols = mat.shape
-    with open(path, "w") as fh:
-        fh.write(f"{rows},{cols}\n")
-        np.savetxt(fh, mat, delimiter=",")

@@ -113,50 +113,65 @@ class NeumannGradient(MatrixOperator):
         self.dct_eigenvalues = lam[:, None] + lam[None, :]
 
 
-def ray_driven_matrix(geom):
-    """Line-integral projector with exact intersection-length weights."""
-    n = geom.image_size
-    h = 1.0 / n
-    rows, cols, vals = [], [], []
-    grid = -0.5 + np.arange(n + 1) * h
-    for ia, theta in enumerate(geom.angles):
-        ct, st = np.cos(theta), np.sin(theta)
-        dx, dy = -st, ct  # ray direction
-        for ib, s in enumerate(geom.bin_centers):
-            px, py = s * ct, s * st  # point on the ray
-            ts = []
-            if abs(dx) > 1e-12:
-                ts.append((grid - px) / dx)
-            if abs(dy) > 1e-12:
-                ts.append((grid - py) / dy)
-            t = np.unique(np.concatenate(ts))
-            xs = px + t * dx
-            ys = py + t * dy
-            inside = (xs >= -0.5 - 1e-12) & (xs <= 0.5 + 1e-12) & \
-                     (ys >= -0.5 - 1e-12) & (ys <= 0.5 + 1e-12)
-            t = t[inside]
-            if t.size < 2:
-                continue
-            mids = 0.5 * (t[:-1] + t[1:])
-            lengths = np.diff(t)
-            mx = px + mids * dx
-            my = py + mids * dy
-            j = np.clip(np.floor((mx + 0.5) / h).astype(int), 0, n - 1)
-            i = np.clip(np.floor((my + 0.5) / h).astype(int), 0, n - 1)
-            keep = lengths > 1e-14
-            row = ia * geom.num_bins + ib
-            rows.extend([row] * int(np.count_nonzero(keep)))
-            cols.extend((i[keep] * n + j[keep]).tolist())
-            vals.extend(lengths[keep].tolist())
+def _assemble(geom, rows, cols, vals):
+    """One CSR matrix from per-angle (row, column, value) arrays, duplicates summed."""
     mat = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(geom.sinogram_size, n * n)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.sinogram_size, geom.image_size ** 2),
     )
     mat.sum_duplicates()
     return mat
 
 
+def ray_driven_matrix(geom):
+    """Line-integral projector with exact intersection-length weights.
+
+    Works one angle at a time on arrays over all of its rays: row b of ``t``
+    holds bin b's sorted grid crossings, and a segment between neighbours is
+    kept if both ends are inside and it is longer than 1e-14 (so a crossing
+    met twice adds nothing).  A test checks the result bit for bit against
+    the per-ray loop in ``tests/projector_reference.py``.
+    """
+    n = geom.image_size
+    h = 1.0 / n
+    rows, cols, vals = [], [], []
+    grid = -0.5 + np.arange(n + 1) * h
+    s = geom.bin_centers[:, None]
+    for ia, theta in enumerate(geom.angles):
+        ct, st = np.cos(theta), np.sin(theta)
+        dx, dy = -st, ct  # ray direction
+        px, py = s * ct, s * st  # a point on each ray
+        ts = []
+        if abs(dx) > 1e-12:
+            ts.append((grid - px) / dx)
+        if abs(dy) > 1e-12:
+            ts.append((grid - py) / dy)
+        t = np.sort(np.concatenate(ts, axis=1), axis=1)
+        xs = px + t * dx
+        ys = py + t * dy
+        inside = (xs >= -0.5 - 1e-12) & (xs <= 0.5 + 1e-12) & \
+                 (ys >= -0.5 - 1e-12) & (ys <= 0.5 + 1e-12)
+        mids = 0.5 * (t[:, :-1] + t[:, 1:])
+        lengths = np.diff(t, axis=1)
+        mx = px + mids * dx
+        my = py + mids * dy
+        j = np.clip(np.floor((mx + 0.5) / h).astype(int), 0, n - 1)
+        i = np.clip(np.floor((my + 0.5) / h).astype(int), 0, n - 1)
+        # xs and ys are monotone in t, so a ray's inside crossings are
+        # contiguous and its segments are the neighbouring pairs of them
+        ib, k = np.nonzero(inside[:, :-1] & inside[:, 1:] & (lengths > 1e-14))
+        rows.append(ia * geom.num_bins + ib)
+        cols.append(i[ib, k] * n + j[ib, k])
+        vals.append(lengths[ib, k])
+    return _assemble(geom, rows, cols, vals)
+
+
 def pixel_driven_matrix(geom):
-    """Pixel-driven projector: bilinear bin interpolation, weight h^2 / bin_width."""
+    """Pixel-driven projector: bilinear bin interpolation, weight h^2 / bin_width.
+
+    Works one angle at a time on arrays over all pixels.  A test checks the
+    result bit for bit against the loop in ``tests/projector_reference.py``.
+    """
     n = geom.image_size
     h = 1.0 / n
     b = geom.bin_width
@@ -174,14 +189,10 @@ def pixel_driven_matrix(geom):
         frac = u - j0
         for j, wgt in ((j0, 1.0 - frac), (j0 + 1, frac)):
             ok = (j >= 0) & (j < geom.num_bins) & (wgt > 0)
-            rows.extend((ia * geom.num_bins + j[ok]).tolist())
-            cols.extend(pix[ok].tolist())
-            vals.extend((wgt[ok] * weight).tolist())
-    mat = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(geom.sinogram_size, n * n)
-    )
-    mat.sum_duplicates()
-    return mat
+            rows.append(ia * geom.num_bins + j[ok])
+            cols.append(pix[ok])
+            vals.append(wgt[ok] * weight)
+    return _assemble(geom, rows, cols, vals)
 
 
 @dataclass

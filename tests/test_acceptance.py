@@ -24,7 +24,6 @@ from mismatch_splitting.operators import (
     MatrixOperator,
     MismatchPair,
     ScaledIdentity,
-    adjoint_defect,
     estimate_operator_norm,
     estimate_sigma_min,
 )
@@ -39,6 +38,7 @@ from mismatch_splitting.proximal import (
 )
 
 from linf2_reference import prox_linf2_ball
+from operator_reference import adjoint_defect
 
 
 _CAPTURE = None

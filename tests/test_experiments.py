@@ -262,7 +262,8 @@ def test_cli_stepsize_missing_mismatch_norm(tmp_path, capsys):
 
 
 def test_cli_analyze_round_trip(tmp_path):
-    from mismatch_splitting.operators import MatrixOperator, save_operator_csv
+    from mismatch_splitting.operators import MatrixOperator
+    from operator_reference import save_operator_csv
 
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 6))

@@ -16,14 +16,12 @@ from mismatch_splitting.operators import (
     ScaledIdentity,
     SingularInnerSystemError,
     VStackMap,
-    ZeroOperator,
-    adjoint_defect,
     estimate_operator_norm,
     estimate_sigma_min,
     load_operator_csv,
-    save_operator_csv,
 )
 from mismatch_splitting.tomo import ParallelGeometry, build_projector_pair, ray_driven_matrix
+from operator_reference import ZeroOperator, adjoint_defect, save_operator_csv
 
 
 def random_matrix_op(seed, m, n, sparse=False):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mismatch_splitting.operators import FunctionOperator, adjoint_defect, dct_matrix
+from mismatch_splitting.operators import FunctionOperator, dct_matrix
 from mismatch_splitting.tomo import (
     NeumannGradient,
     ParallelGeometry,
@@ -12,6 +12,9 @@ from mismatch_splitting.tomo import (
     ray_driven_matrix,
     shepp_logan_phantom,
 )
+
+import projector_reference
+from operator_reference import adjoint_defect
 
 
 def test_geometry_validation():
@@ -68,6 +71,30 @@ def test_single_pixel_single_ray_geometry():
     geom = ParallelGeometry(1, 1, 1)
     assert np.allclose(ray_driven_matrix(geom).toarray(), [[1.0]])
     assert np.allclose(pixel_driven_matrix(geom).toarray(), [[1.0]])
+
+
+@pytest.mark.parametrize("size,angles,bins", [
+    (1, 1, 1),
+    (16, 2, 16),  # theta = 0 and pi/2: one grid family is skipped
+    (8, 3, 8),
+    (16, 7, 16),
+    (33, 5, 20),
+    (20, 12, 45),
+    (32, 10, 32),
+])
+@pytest.mark.parametrize("build,reference", [
+    (ray_driven_matrix, projector_reference.ray_driven_matrix),
+    (pixel_driven_matrix, projector_reference.pixel_driven_matrix),
+], ids=["ray", "pixel"])
+def test_projectors_match_loop_reference_bitwise(build, reference, size, angles, bins):
+    geom = ParallelGeometry(size, angles, bins)
+    got, want = build(geom), reference(geom)
+    assert got.shape == want.shape
+    assert got.has_canonical_format and want.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes(), attr
 
 
 def test_axis_aligned_projection_of_ones():
