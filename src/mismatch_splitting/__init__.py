@@ -35,7 +35,6 @@ from .proximal import (
 )
 from .solvers import (
     CPStepper,
-    LiftedState,
     PDDRStepper,
     RunResult,
     SaddleProblem,
@@ -43,7 +42,6 @@ from .solvers import (
     StoppingRule,
     gaussian_state,
     run,
-    step_lifted_ppp,
     zero_state,
 )
 from .stepsize import (

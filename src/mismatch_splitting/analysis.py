@@ -39,7 +39,7 @@ def inclusion_residual(problem, x, y, probe_tau=1.0):
         raise ValueError("probe_tau must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rx = x - problem.prox_g(x - probe_tau * problem.pair.apply_surrogate_adjoint(y), probe_tau)
+    rx = x - problem.prox_g(x - probe_tau * problem.pair.surrogate.apply_adjoint(y), probe_tau)
     ry = y - problem.prox_fstar(y + probe_tau * problem.pair.forward.apply(x), probe_tau)
     return float(np.linalg.norm(rx) + np.linalg.norm(ry))
 
@@ -55,7 +55,7 @@ def error_bound(problem, y_hat, gamma_g=None):
     if gamma_g <= 0:
         raise ValueError("error bound requires a strongly convex G")
     y_hat = np.asarray(y_hat, dtype=float)
-    diff = problem.pair.apply_surrogate_adjoint(y_hat) - problem.pair.forward.apply_adjoint(y_hat)
+    diff = problem.pair.surrogate.apply_adjoint(y_hat) - problem.pair.forward.apply_adjoint(y_hat)
     return float(np.linalg.norm(diff)) / gamma_g
 
 

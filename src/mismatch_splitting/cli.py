@@ -6,7 +6,7 @@ configuration or runtime error.
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -37,15 +37,16 @@ def _load_config(path):
     return data
 
 
-def _fill(cls, data, seed=None):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+def _fill(target, data, seed=None):
+    """Call ``target``, a config dataclass or an experiment function, with
+    the config keys, which must name its parameters."""
+    unknown = set(data) - set(inspect.signature(target).parameters)
     if unknown:
         raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(data)
     if seed is not None:
         kwargs["seed"] = seed
-    return cls(**kwargs)
+    return target(**kwargs)
 
 
 def _finish(report, out_dir):
@@ -84,13 +85,7 @@ def counterexample(config_path, out_dir):
     divergence_threshold the drift reaches within max_iters, e.g.
     {"max_iters": 50000, "divergence_threshold": 40}; the defaults exit 0.
     """
-    data = _load_config(config_path)
-    allowed = {"dim", "alpha_mm", "tau", "theta", "seed", "max_iters",
-               "divergence_threshold"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
-    _finish(experiments.run_counterexample(**data), out_dir)
+    _finish(_fill(experiments.run_counterexample, _load_config(config_path)), out_dir)
 
 
 @cli.command()

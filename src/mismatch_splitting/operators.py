@@ -281,7 +281,6 @@ class MismatchPair:
     forward: LinearMap
     surrogate: LinearMap
     _mismatch_norm: float | None = field(default=None, repr=False, compare=False)
-    _solver_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         f, s = self.forward, self.surrogate
@@ -304,24 +303,9 @@ class MismatchPair:
             self._mismatch_norm = estimate_operator_norm(self.forward - self.surrogate)
         return self._mismatch_norm
 
-    def apply_surrogate_adjoint(self, y):
-        return self.surrogate.apply_adjoint(y)
-
-    def clear_cache(self):
-        self._solver_cache.clear()
-        self._mismatch_norm = None
-
     def matched(self):
         """The adjoint-consistent pair using the true adjoint of ``forward``."""
         return MismatchPair(self.forward, self.forward)
-
-    def inner_solver(self, tau, mu_g=0.0, mu_f=0.0):
-        key = (float(tau), float(mu_g), float(mu_f))
-        solver = self._solver_cache.get(key)
-        if solver is None:
-            solver = InnerSystemSolver(self, tau, mu_g, mu_f)
-            self._solver_cache[key] = solver
-        return solver
 
 
 @dataclass
@@ -344,7 +328,7 @@ class BlockSkewOperator(LinearMap):
     def apply(self, u):
         n = self.pair.domain_dim
         x, y = u[:n], u[n:]
-        top = self.shift_g * x + self.pair.apply_surrogate_adjoint(y)
+        top = self.shift_g * x + self.pair.surrogate.apply_adjoint(y)
         bot = -self.pair.forward.apply(x) + self.shift_f * y
         return np.concatenate([top, bot])
 
@@ -381,13 +365,12 @@ def estimate_sigma_min(block):
     """Smallest singular value of a BlockSkewOperator M, as 1/||M^{-1}||_2.
 
     ``solve`` and ``solve_transpose`` of an InnerSystemSolver at tau = 1,
-    a = shift_g, b = shift_f (not cached on the pair) apply M^{-1} and
-    M^{-T}; estimate_operator_norm takes the norm with its residual check.
-    The shifts must be positive (ValueError); a singular block raises
-    SingularInnerSystemError naming them.  A diagnostic for blocks of at
-    most DENSE_DIM_LIMIT total rows, reported next to the closed-form bound
-    of the step-size plan; larger blocks raise ValueError and should use
-    stepsize.sigma_min_lower_bound.
+    a = shift_g, b = shift_f apply M^{-1} and M^{-T}; estimate_operator_norm
+    takes the norm with its residual check.  The shifts must be positive
+    (ValueError); a singular block raises SingularInnerSystemError naming
+    them.  A diagnostic for blocks of at most DENSE_DIM_LIMIT total rows,
+    reported next to the closed-form bound of the step-size plan; larger
+    blocks raise ValueError and should use stepsize.sigma_min_lower_bound.
     """
     if block.domain_dim > DENSE_DIM_LIMIT:
         raise ValueError(

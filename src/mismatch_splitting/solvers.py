@@ -1,7 +1,6 @@
 """The four iterations: matched / mismatched primal-dual Douglas-Rachford,
 the adapted variant with shifted proxes, and a Chambolle-Pock baseline with
-the surrogate adjoint, plus the lifted preconditioned-proximal-point
-iteration kept as an equivalence oracle.
+the surrogate adjoint.
 """
 
 from __future__ import annotations
@@ -9,13 +8,13 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .proximal import ProxFn, prox_convex_shifted
-from .operators import MismatchPair
+from .operators import InnerSystemSolver, MismatchPair
 
 
 @dataclass
@@ -58,20 +57,6 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_iters < 0 or self.fixed_point_tol <= 0 or self.divergence_threshold <= 0:
             raise ValueError("stopping rule fields must be positive")
-
-
-@dataclass
-class LiftedState:
-    """Reduced state of the relaxed preconditioned proximal point iteration."""
-
-    w_lift: np.ndarray
-    alpha: float
-    gamma: float
-    lam: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lam < 2.0):
-            raise ValueError("relaxation lambda must lie in (0, 2)")
 
 
 def zero_state(problem):
@@ -136,7 +121,7 @@ class PDDRStepper:
         self.mu_f = float(mu_f)
         self._prox_g = problem.prox_g if mu_g == 0.0 else prox_convex_shifted(problem.prox_g, mu_g)
         self._prox_f = problem.prox_fstar if mu_f == 0.0 else prox_convex_shifted(problem.prox_fstar, mu_f)
-        self.inner_solver = pair.inner_solver(tau, mu_g, mu_f)
+        self.inner_solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
 
     @property
     def residual_scale(self):
@@ -158,13 +143,12 @@ class PDDRStepper:
 class CPStepper:
     """Chambolle-Pock / PDHG with the surrogate adjoint substituted for A^T."""
 
-    def __init__(self, problem, tau_p, sigma_d, theta_cp=1.0):
+    def __init__(self, problem, tau_p, sigma_d):
         if tau_p <= 0 or sigma_d <= 0:
             raise ValueError("step sizes must be positive")
         self.problem = problem
         self.tau_p = float(tau_p)
         self.sigma_d = float(sigma_d)
-        self.theta_cp = float(theta_cp)
 
     residual_scale = 1.0
 
@@ -173,30 +157,10 @@ class CPStepper:
 
     def step(self, state):
         prob = self.problem
-        x_new = prob.prox_g(state.x - self.tau_p * prob.pair.apply_surrogate_adjoint(state.y), self.tau_p)
-        x_bar = x_new + self.theta_cp * (x_new - state.x)
+        x_new = prob.prox_g(state.x - self.tau_p * prob.pair.surrogate.apply_adjoint(state.y), self.tau_p)
+        x_bar = x_new + (x_new - state.x)
         y_new = prob.prox_fstar(state.y + self.sigma_d * prob.pair.forward.apply(x_bar), self.sigma_d)
         return SolverState(x_new, y_new, x_new, y_new, x_new, y_new, state.k + 1)
-
-
-def step_lifted_ppp(problem, lifted, tau):
-    """One step of the reduced preconditioned proximal point iteration.
-
-    Exists as a test oracle: with theta = lambda/(1+alpha) the sequence
-    w^k/(1+alpha) reproduces the mismatched PDDR (p, q) sequence exactly.
-    """
-    alpha, lam = lifted.alpha, lifted.lam
-    if not np.isclose(lifted.gamma, (1.0 + alpha) * tau):
-        raise ValueError("lifted state requires gamma = (1 + alpha) * tau")
-    n = problem.primal_dim
-    w = lifted.w_lift
-    w_tilde = w / (1.0 + alpha)
-    x = problem.prox_g(w_tilde[:n], tau)
-    y = problem.prox_fstar(w_tilde[n:], tau)
-    refl = 2.0 * np.concatenate([x, y]) - w_tilde
-    v, wv = problem.pair.inner_solver(tau).solve(refl[:n], refl[n:])
-    w_new = w + lam * (np.concatenate([v, wv]) - np.concatenate([x, y]))
-    return replace(lifted, w_lift=w_new)
 
 
 # One row per iteration.  ``objective`` is filled on every OBJECTIVE_EVERY-th

@@ -37,6 +37,7 @@ from mismatch_splitting.proximal import (
     soft_threshold,
 )
 
+from lifted_reference import LiftedState, step_lifted_ppp
 from linf2_reference import prox_linf2_ball
 from operator_reference import adjoint_defect
 
@@ -256,12 +257,12 @@ def test_lifted_equivalence():
             theta = lam / (1.0 + alpha)
             stepper = solvers.PDDRStepper(problem, tau, theta)
             state = solvers.gaussian_state(problem, seed=seed)
-            lifted = solvers.LiftedState(
+            lifted = LiftedState(
                 w_lift=(1.0 + alpha) * np.concatenate([state.p, state.q]),
                 alpha=alpha, gamma=(1.0 + alpha) * tau, lam=lam)
             for _ in range(100):
                 state = stepper.step(state)
-                lifted = solvers.step_lifted_ppp(problem, lifted, tau)
+                lifted = step_lifted_ppp(problem, lifted, tau)
             reduced = lifted.w_lift / (1.0 + alpha)
             gap = np.linalg.norm(
                 reduced - np.concatenate([state.p, state.q]))

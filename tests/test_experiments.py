@@ -16,6 +16,7 @@ from mismatch_splitting.experiments import (
     huber_tv_prox,
     write_pgm,
 )
+from mismatch_splitting.operators import InnerSystemSolver
 
 from linf2_reference import project_linf2
 
@@ -84,6 +85,28 @@ def test_run_quadratic_records_inner_backend():
         assert info["backend"] == "dense"
         assert 0.0 < info["rcond"] <= 1.0
         assert report.timings["inner_factor_s"][name] > 0.0
+
+
+def test_each_run_factors_its_inner_system_once(monkeypatch):
+    # one factorisation per PDDR stepper, however many steps it takes, plus
+    # one for the sigma_min diagnostic; the tomography oracle run reuses the
+    # mismatched stepper
+    calls = []
+    init = InnerSystemSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(InnerSystemSolver, "__init__", counting_init)
+    run_quadratic(QuadraticConfig(n=40, m=20, max_iters=4000, seed=11))
+    assert len(calls) == 4
+    calls.clear()
+    run_tomography(TomoConfig(16, 4, max_iters=300, with_oracle=True))
+    assert len(calls) == 4
+    calls.clear()
+    run_counterexample(max_iters=300)
+    assert len(calls) == 1
 
 
 def test_tomography_objective_is_the_smoothed_one_solved():
@@ -295,6 +318,15 @@ def test_cli_error_exits(tmp_path):
     assert cli_main(["quadratic", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
     assert cli_main(["no-such-command"]) == 1
+
+
+def test_cli_counterexample_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bogus": 1}))
+    assert cli_main(["counterexample", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_counterexample_has_no_seed_flag(tmp_path):

@@ -191,7 +191,6 @@ def test_sigma_min_matches_dense_svd_on_random_pairs(seed, m, n, eta, g, f):
     block = BlockSkewOperator(pair, g, f)
     ref = _svd_sigma_min(block)
     assert abs(estimate_sigma_min(block) - ref) <= 1e-12 * ref
-    assert not pair._solver_cache
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "projector"])
@@ -231,7 +230,7 @@ def test_inner_system_identity():
     pair = MismatchPair(ZeroOperator(3, 4), ZeroOperator(3, 4))
     rx = np.arange(3.0)
     ry = np.arange(4.0)
-    v, w = pair.inner_solver(0.5, 0.0, 0.0).solve(rx, ry)
+    v, w = InnerSystemSolver(pair, 0.5, 0.0, 0.0).solve(rx, ry)
     assert np.allclose(v, rx) and np.allclose(w, ry)
 
 
@@ -241,7 +240,7 @@ def test_inner_system_scalar_prefactor():
     pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -alpha))
     rx = np.array([1.7])
     ry = np.array([-0.3])
-    v, w = pair.inner_solver(tau, 0.0, 0.0).solve(rx, ry)
+    v, w = InnerSystemSolver(pair, tau, 0.0, 0.0).solve(rx, ry)
     beta = 1.0 / (1.0 - alpha * tau**2)
     assert abs(v[0] - beta * (rx[0] + alpha * tau * ry[0])) <= 1e-14
     assert abs(w[0] - beta * (tau * rx[0] + ry[0])) <= 1e-14
@@ -257,29 +256,19 @@ def test_inner_system_residual(seed, tau, mu_g, mu_f):
     rng = np.random.default_rng(seed + 2)
     rx = rng.standard_normal(30)
     ry = rng.standard_normal(20)
-    v, w = pair.inner_solver(tau, mu_g, mu_f).solve(rx, ry)
-    res_x = (1 + tau * mu_g) * v + tau * pair.apply_surrogate_adjoint(w) - rx
+    v, w = InnerSystemSolver(pair, tau, mu_g, mu_f).solve(rx, ry)
+    res_x = (1 + tau * mu_g) * v + tau * pair.surrogate.apply_adjoint(w) - rx
     res_y = -tau * pair.forward.apply(v) + (1 + tau * mu_f) * w - ry
     scale = max(np.linalg.norm(rx), np.linalg.norm(ry), 1.0)
     assert np.linalg.norm(res_x) <= 1e-10 * scale
     assert np.linalg.norm(res_y) <= 1e-10 * scale
 
 
-def test_inner_system_cache_and_invalidation():
-    pair = MismatchPair(random_matrix_op(0, 4, 4), random_matrix_op(1, 4, 4))
-    s1 = pair.inner_solver(0.3)
-    s2 = pair.inner_solver(0.3)
-    s3 = pair.inner_solver(0.3, mu_g=0.1)
-    assert s1 is s2 and s1 is not s3
-    pair.clear_cache()
-    assert pair.inner_solver(0.3) is not s1
-
-
 def test_inner_system_singularity_names_tau_bound():
     # A = 1, V* = -1, tau = 1: Schur complement 1 - tau^2 = 0
     pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -1.0))
     with pytest.raises(SingularInnerSystemError, match="tau"):
-        pair.inner_solver(1.0, 0.0, 0.0).solve(np.ones(1), np.ones(1))
+        InnerSystemSolver(pair, 1.0, 0.0, 0.0).solve(np.ones(1), np.ones(1))
 
 
 def test_inner_system_singularity_guard_above_dense_limit():
@@ -485,7 +474,7 @@ def test_dense_solve_equals_lu_solve_on_its_factors_bitwise():
     rng = np.random.default_rng(13)
     rx, ry = rng.standard_normal(n), rng.standard_normal(m)
     w_ref = scipy.linalg.lu_solve(solver._lu, a * ry + tau * pair.forward.apply(rx))
-    v_ref = (rx - tau * pair.apply_surrogate_adjoint(w_ref)) / a
+    v_ref = (rx - tau * pair.surrogate.apply_adjoint(w_ref)) / a
     v, w = solver.solve(rx, ry)
     assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
 

@@ -12,16 +12,16 @@ from mismatch_splitting.solvers import (
     OBJECTIVE_EVERY,
     TRACE_COLUMNS,
     CPStepper,
-    LiftedState,
     PDDRStepper,
     SaddleProblem,
     SolverState,
     StoppingRule,
     gaussian_state,
     run,
-    step_lifted_ppp,
     zero_state,
 )
+
+from lifted_reference import LiftedState, step_lifted_ppp
 
 
 def scalar_problem(v_scale=-0.5):

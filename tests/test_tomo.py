@@ -126,7 +126,7 @@ def test_projector_pair_is_genuinely_non_adjoint():
     # but the surrogate adjoint is not the adjoint of the forward map
     crossed = FunctionOperator(
         pair.domain_dim, pair.codomain_dim,
-        pair.forward.apply, pair.apply_surrogate_adjoint)
+        pair.forward.apply, pair.surrogate.apply_adjoint)
     assert adjoint_defect(crossed, rng) > 1e-6
     assert pair.mismatch_norm > 1e-3
 
