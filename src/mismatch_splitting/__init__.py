@@ -8,7 +8,6 @@ side by side with a primal-dual hybrid gradient baseline.
 """
 
 from .operators import (
-    BlockSkewOperator,
     DifferenceMap,
     FunctionOperator,
     InnerSystemSolver,

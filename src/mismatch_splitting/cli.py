@@ -38,11 +38,17 @@ def _load_config(path):
 
 
 def _fill(target, data, seed=None):
-    """Call ``target``, a config dataclass or an experiment function, with
-    the config keys, which must name its parameters."""
-    unknown = set(data) - set(inspect.signature(target).parameters)
+    """Call ``target``, a config dataclass or a keyword function, with the
+    config keys, which must name its parameters and give every parameter
+    without a default."""
+    params = inspect.signature(target).parameters
+    unknown = set(data) - set(params)
     if unknown:
         raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
+    missing = [name for name, p in params.items()
+               if p.default is p.empty and name not in data]
+    if missing:
+        raise click.ClickException(f"missing config key: {', '.join(map(repr, missing))}")
     kwargs = dict(data)
     if seed is not None:
         kwargs["seed"] = seed
@@ -104,6 +110,32 @@ def tomo(config_path, out_dir, seed, full_scale):
     _finish(experiments.run_tomography(config), out_dir)
 
 
+def _stepsize_payload(gamma_g, gamma_f, theta=0.5, mismatch_norm=None,
+                      forward_csv=None, surrogate_csv=None):
+    """The plan file of ``stepsize``: profile, certified plan and rate."""
+    csvs = (forward_csv, surrogate_csv)
+    if mismatch_norm is not None and csvs != (None, None):
+        raise click.ClickException(
+            "give either mismatch_norm or forward_csv and surrogate_csv, not both")
+    if csvs == (None, None):
+        if mismatch_norm is None:
+            raise click.ClickException("missing config key: 'mismatch_norm'")
+        d = float(mismatch_norm)
+        if not d >= 0:
+            raise click.ClickException(f"mismatch_norm must be nonnegative, got {d}")
+        pair = MismatchPair(ScaledIdentity(1, d), ScaledIdentity(1, 0.0))
+    elif None in csvs:
+        raise click.ClickException("forward_csv and surrogate_csv must be given together")
+    else:
+        pair = MismatchPair(load_operator_csv(forward_csv), load_operator_csv(surrogate_csv))
+    gamma_g, gamma_f = float(gamma_g), float(gamma_f)
+    plan, _ = experiments.certified_plan(pair, gamma_g, gamma_f, float(theta))
+    return {"profile": {"gamma_g": gamma_g, "gamma_f": gamma_f,
+                        "mismatch_norm": pair.mismatch_norm},
+            "plan": plan.as_dict(),
+            "predicted_rate": stepsize.predicted_rate(plan)}
+
+
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
@@ -114,47 +146,37 @@ def stepsize_cmd(config_path, out_dir):
     surrogate_csv, or a scalar mismatch_norm (modeled as the 1-d pair
     A = d, V = 0 for the spectral quantities; d must be nonnegative).
     """
-    data = _load_config(config_path)
-    scalar = "forward_csv" not in data and "surrogate_csv" not in data
-    try:
-        gamma_g = float(data["gamma_g"])
-        gamma_f = float(data["gamma_f"])
-        theta = float(data.get("theta", 0.5))
-        d = float(data["mismatch_norm"]) if scalar else None
-    except KeyError as exc:
-        raise click.ClickException(f"missing config key: {exc}") from exc
-
-    if not scalar:
-        try:
-            fwd = load_operator_csv(data["forward_csv"])
-            sur = load_operator_csv(data["surrogate_csv"])
-        except KeyError as exc:
-            raise click.ClickException(
-                "forward_csv and surrogate_csv must be given together") from exc
-        pair = MismatchPair(fwd, sur)
-    elif not d >= 0:
-        raise click.ClickException(f"mismatch_norm must be nonnegative, got {d}")
-    else:
-        pair = MismatchPair(ScaledIdentity(1, d), ScaledIdentity(1, 0.0))
-
-    plan, _ = experiments.certified_plan(pair, gamma_g, gamma_f, theta)
-
+    payload = _fill(_stepsize_payload, _load_config(config_path))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "stepsize_plan.json")
-    payload = {"profile": {"gamma_g": gamma_g, "gamma_f": gamma_f,
-                           "mismatch_norm": pair.mismatch_norm},
-               "plan": plan.as_dict(),
-               "predicted_rate": stepsize.predicted_rate(plan)}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for key, value in plan.as_dict().items():
+    for key, value in payload["plan"].items():
         click.echo(f"{key:>14}  {value}")
-    click.echo(f"{'rate':>14}  {stepsize.predicted_rate(plan)}")
+    click.echo(f"{'rate':>14}  {payload['predicted_rate']}")
     click.echo(path)
 
 
 cli.add_command(stepsize_cmd, name="stepsize")
+
+
+def _analyze_report(forward_csv, surrogate_csv, alpha, beta, z, x=None, y=None,
+                    probe_tau=1.0):
+    """The fixed-point report of ``analyze`` for the config's problem."""
+    fwd, sur = load_operator_csv(forward_csv), load_operator_csv(surrogate_csv)
+    alpha, beta = float(alpha), float(beta)
+    z = np.asarray(z, dtype=float)
+    pair = MismatchPair(fwd, sur)
+    problem = solvers.SaddleProblem(
+        prox_scaled_quadratic(alpha), prox_scaled_quadratic(beta, shift=z), pair)
+    profile = stepsize.ConvexityProfile(alpha, beta, pair.mismatch_norm)
+    x_hat, y_hat, x_star = analysis.quadratic_reference(
+        fwd.as_array(), sur.as_array(), alpha, beta, z)
+    x = np.asarray(x_hat if x is None else x, dtype=float)
+    y = np.asarray(y_hat if y is None else y, dtype=float)
+    return analysis.fixed_point_report(problem, profile, x, y,
+                                       probe_tau=float(probe_tau), x_true=x_star)
 
 
 @cli.command()
@@ -167,28 +189,7 @@ def analyze(config_path, out_dir):
     optionally x, y (candidate point; defaults to the closed-form fixed
     point) and probe_tau.
     """
-    data = _load_config(config_path)
-    try:
-        fwd = load_operator_csv(data["forward_csv"])
-        sur = load_operator_csv(data["surrogate_csv"])
-        alpha = float(data["alpha"])
-        beta = float(data["beta"])
-        z = np.asarray(data["z"], dtype=float)
-    except KeyError as exc:
-        raise click.ClickException(f"missing config key: {exc}") from exc
-
-    pair = MismatchPair(fwd, sur)
-    problem = solvers.SaddleProblem(
-        prox_scaled_quadratic(alpha), prox_scaled_quadratic(beta, shift=z), pair)
-    profile = stepsize.ConvexityProfile(alpha, beta, pair.mismatch_norm)
-    x_hat, y_hat, x_star = analysis.quadratic_reference(
-        fwd.as_array(), sur.as_array(), alpha, beta, z)
-    x = np.asarray(data.get("x", x_hat), dtype=float)
-    y = np.asarray(data.get("y", y_hat), dtype=float)
-    report = analysis.fixed_point_report(
-        problem, profile, x, y,
-        probe_tau=float(data.get("probe_tau", 1.0)), x_true=x_star)
-
+    report = _fill(_analyze_report, _load_config(config_path))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "analyze_report.json")
     with open(path, "w") as fh:
@@ -208,7 +209,8 @@ def main(argv=None):
         return EXIT_ERROR
     except click.Abort:
         return EXIT_ERROR
-    except (OSError, ValueError, KeyError, RuntimeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, RuntimeError,
+            json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_ERROR
     return EXIT_OK

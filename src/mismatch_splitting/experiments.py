@@ -17,7 +17,6 @@ import numpy as np
 from . import analysis, solvers, stepsize, tomo
 from .operators import (
     DENSE_DIM_LIMIT,
-    BlockSkewOperator,
     MatrixOperator,
     MismatchPair,
     ScaledIdentity,
@@ -100,9 +99,8 @@ def _plan_summary(pair, plan):
     block of at most DENSE_DIM_LIMIT rows, sigma_min = 1/||B_sigma^{-1}||
     from estimate_sigma_min and the ratio of the bound to it."""
     spectral = {"sigma_lower_bound": plan.sigma, "b_sigma_upper_bound": plan.b_sigma_norm}
-    block = BlockSkewOperator(pair, plan.mu_tilde_g, plan.mu_tilde_f)
-    if block.domain_dim <= DENSE_DIM_LIMIT:
-        sigma = estimate_sigma_min(block)
+    if pair.domain_dim + pair.codomain_dim <= DENSE_DIM_LIMIT:
+        sigma = estimate_sigma_min(pair, plan.mu_tilde_g, plan.mu_tilde_f)
         spectral.update(sigma_min=sigma, sigma_bound_ratio=plan.sigma / sigma)
     return {"mismatch_norm": pair.mismatch_norm, "tau": plan.tau, "theta": plan.theta,
             "predicted_rate": stepsize.predicted_rate(plan), "spectral": spectral}

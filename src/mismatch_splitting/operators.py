@@ -168,47 +168,27 @@ class DifferenceMap(LinearMap):
         return self.a.apply_adjoint(y) - self.b.apply_adjoint(y)
 
 
-class VStackMap(LinearMap):
-    """Vertical stack (A1; A2; ...) sharing one domain; when every block
-    carries a matrix, each side is one product with a cached stacked matrix."""
+class VStackMap(MatrixOperator):
+    """Vertical stack (A1; A2; ...) sharing one domain: a MatrixOperator on
+    the stacked matrix, CSR if any block's matrix is sparse and an ndarray
+    otherwise.  Every block must carry a matrix (ValueError).  ``blocks``
+    and the row ``_offsets`` of each block stay for InnerSystemSolver's
+    Woodbury detection."""
 
     def __init__(self, blocks):
-        dims = {b.domain_dim for b in blocks}
-        if len(dims) != 1:
-            raise ValueError("stacked blocks must share the domain dimension")
         self.blocks = list(blocks)
-        self.domain_dim = blocks[0].domain_dim
-        self.codomain_dim = sum(b.codomain_dim for b in blocks)
-        self._offsets = np.cumsum([0] + [b.codomain_dim for b in blocks])
-
-    @functools.cached_property
-    def _stacked(self):
-        """(stacked matrix, its transpose), or () if a block is matrix-free."""
+        if len({b.domain_dim for b in self.blocks}) != 1:
+            raise ValueError("stacked blocks must share the domain dimension")
         mats = [b.matrix for b in self.blocks]
         if any(m is None for m in mats):
-            return ()
+            raise ValueError("stacked blocks must carry matrices; a matrix-free "
+                             "block cannot be stacked")
         if any(scipy.sparse.issparse(m) for m in mats):
             mat = scipy.sparse.vstack([scipy.sparse.csr_matrix(m) for m in mats], format="csr")
         else:
             mat = np.vstack(mats)
-        return mat, _transposed(mat)
-
-    @property
-    def matrix(self):
-        return self._stacked[0] if self._stacked else None
-
-    def apply(self, x):
-        if self._stacked:
-            return self._stacked[0] @ np.asarray(x, dtype=float)
-        return np.concatenate([b.apply(x) for b in self.blocks])
-
-    def apply_adjoint(self, y):
-        if self._stacked:
-            return self._stacked[1] @ np.asarray(y, dtype=float)
-        out = np.zeros(self.domain_dim)
-        for b, lo, hi in zip(self.blocks, self._offsets[:-1], self._offsets[1:]):
-            out += b.apply_adjoint(y[lo:hi])
-        return out
+        super().__init__(mat)
+        self._offsets = np.cumsum([0] + [b.codomain_dim for b in self.blocks])
 
 
 def estimate_operator_norm(op, tol=1e-9, max_iters=5000):
@@ -308,83 +288,31 @@ class MismatchPair:
         return MismatchPair(self.forward, self.forward)
 
 
-@dataclass
-class BlockSkewOperator(LinearMap):
-    """The shifted skew block [[shift_g I, V*], [-A, shift_f I]].
-
-    With both shifts zero this is the skew coupling block of the splitting;
-    with the tilde-mu shifts it is the operator whose smallest singular value
-    enters the linear-rate certificate.
-    """
-
-    pair: MismatchPair
-    shift_g: float = 0.0
-    shift_f: float = 0.0
-
-    def __post_init__(self):
-        self.domain_dim = self.pair.domain_dim + self.pair.codomain_dim
-        self.codomain_dim = self.domain_dim
-
-    def apply(self, u):
-        n = self.pair.domain_dim
-        x, y = u[:n], u[n:]
-        top = self.shift_g * x + self.pair.surrogate.apply_adjoint(y)
-        bot = -self.pair.forward.apply(x) + self.shift_f * y
-        return np.concatenate([top, bot])
-
-    def apply_adjoint(self, u):
-        n = self.pair.domain_dim
-        x, y = u[:n], u[n:]
-        top = self.shift_g * x - self.pair.forward.apply_adjoint(y)
-        bot = self.pair.surrogate.apply(x) + self.shift_f * y
-        return np.concatenate([top, bot])
-
-    @property
-    def matrix(self):
-        """The block matrix: a dense ``np.block`` when both maps carry dense
-        matrices, a sparse ``bmat`` when either is sparse, None when either
-        is matrix-free."""
-        ma = self.pair.forward.matrix
-        mv = self.pair.surrogate.matrix
-        if ma is None or mv is None:
-            return None
-        n, m = self.pair.domain_dim, self.pair.codomain_dim
-        if not (scipy.sparse.issparse(ma) or scipy.sparse.issparse(mv)):
-            return np.block([[self.shift_g * np.eye(n), mv.T],
-                             [-ma, self.shift_f * np.eye(m)]])
-        return scipy.sparse.bmat(
-            [
-                [self.shift_g * scipy.sparse.eye(n), scipy.sparse.csr_matrix(mv).T],
-                [-scipy.sparse.csr_matrix(ma), self.shift_f * scipy.sparse.eye(m)],
-            ],
-            format="csr",
-        )
-
-
-def estimate_sigma_min(block):
-    """Smallest singular value of a BlockSkewOperator M, as 1/||M^{-1}||_2.
+def estimate_sigma_min(pair, g, f):
+    """Smallest singular value of the shifted skew block
+    M = [[g I, V*], [-A, f I]] of ``pair``, as 1/||M^{-1}||_2.
 
     ``solve`` and ``solve_transpose`` of an InnerSystemSolver at tau = 1,
-    a = shift_g, b = shift_f apply M^{-1} and M^{-T}; estimate_operator_norm
-    takes the norm with its residual check.  The shifts must be positive
-    (ValueError); a singular block raises SingularInnerSystemError naming
-    them.  A diagnostic for blocks of at most DENSE_DIM_LIMIT total rows,
-    reported next to the closed-form bound of the step-size plan; larger
-    blocks raise ValueError and should use stepsize.sigma_min_lower_bound.
+    a = g, b = f apply M^{-1} and M^{-T}; estimate_operator_norm takes the
+    norm with its residual check.  The shifts must be positive (ValueError);
+    a singular block raises SingularInnerSystemError naming them.  A
+    diagnostic for blocks of at most DENSE_DIM_LIMIT total rows (domain plus
+    codomain dimension), reported next to the closed-form bound of the
+    step-size plan; larger blocks raise ValueError and should use
+    stepsize.sigma_min_lower_bound.
     """
-    if block.domain_dim > DENSE_DIM_LIMIT:
+    n, dim = pair.domain_dim, pair.domain_dim + pair.codomain_dim
+    if dim > DENSE_DIM_LIMIT:
         raise ValueError(
             f"the sigma_min diagnostic needs at most DENSE_DIM_LIMIT = {DENSE_DIM_LIMIT} "
-            f"rows, the block has {block.domain_dim}; use the closed-form bound "
+            f"rows, the block has {dim}; use the closed-form bound "
             "stepsize.sigma_min_lower_bound instead")
-    g, f = block.shift_g, block.shift_f
     try:
-        solver = InnerSystemSolver(block.pair, 1.0, g - 1.0, f - 1.0)
+        solver = InnerSystemSolver(pair, 1.0, g - 1.0, f - 1.0)
     except SingularInnerSystemError as exc:
         raise SingularInnerSystemError(
             f"the shifted skew block with shifts g = {g:.6g}, f = {f:.6g} is "
             "singular to working precision") from exc
-    n, dim = block.pair.domain_dim, block.domain_dim
     inverse = FunctionOperator(
         dim, dim, lambda u: np.concatenate(solver.solve(u[:n], u[n:])),
         lambda u: np.concatenate(solver.solve_transpose(u[:n], u[n:])))
@@ -426,15 +354,15 @@ class InnerSystemSolver:
     ``solve`` solves the system by Schur-complement elimination, with
     a = 1 + tau*mu_g and b = 1 + tau*mu_f: the system of one PDDR iteration.
     ``solve_transpose`` solves the transposed system on the same factors;
-    at tau = 1 the pair gives M^{-1} and M^{-T} of the shifted skew block M
-    that estimate_sigma_min needs.  The Schur complement is factored once,
-    on construction, by a backend chosen from the structure of the pair
-    (``backend``):
+    at tau = 1 the pair gives M^{-1} and M^{-T} of the shifted skew block
+    M = [[a I, V*], [-A, b I]] that estimate_sigma_min(pair, a, b) needs.
+    The Schur complement is factored once, on construction, by a backend
+    chosen from the structure of the pair (``backend``):
 
     - ``"woodbury"``: forward and surrogate are VStackMaps that share one
-      block exposing ``image_shape`` and ``dct_eigenvalues``, the spectrum
-      of D^T D in the 2-D DCT-II basis (tomo.NeumannGradient), and whose
-      other blocks R_A, R_V carry matrices.  The domain-side Schur
+      block D exposing ``image_shape`` and ``dct_eigenvalues``, the spectrum
+      of D^T D in the 2-D DCT-II basis (tomo.NeumannGradient); R_A and R_V
+      stack their other blocks' matrices.  The domain-side Schur
       complement is B + tau^2 R_V^T R_A with B = ab I + tau^2 D^T D, which
       the orthonormal 2-D DCT-II diagonalises; only the capacitance
       C = I/tau^2 + R_A B^{-1} R_V^T, of the size of R_A's rows, is factored.
@@ -511,7 +439,7 @@ class InnerSystemSolver:
 
     def _shared_dct_block(self):
         """(D, D's rows, R_A, R_V) when forward and surrogate stack one shared
-        block D exposing ``dct_eigenvalues`` beside matrix-backed R_A, R_V."""
+        block D exposing ``dct_eigenvalues`` beside the blocks of R_A, R_V."""
         fwd, sur = self.pair.forward, self.pair.surrogate
         if not (isinstance(fwd, VStackMap) and isinstance(sur, VStackMap)):
             return None
@@ -527,8 +455,6 @@ class InnerSystemSolver:
         rest = [bs for j, bs in enumerate(pairs) if j != i]
         r_a = VStackMap([fb for fb, _ in rest]).matrix
         r_v = VStackMap([sb for _, sb in rest]).matrix
-        if r_a is None or r_v is None:
-            return None
         return pairs[i][0], slice(fwd._offsets[i], fwd._offsets[i + 1]), r_a, r_v
 
     def _build_woodbury(self, grad, rows_d, r_a, r_v):

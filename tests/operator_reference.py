@@ -1,6 +1,6 @@
 """Operator helpers that only the tests use: an adjoint-consistency probe,
-the zero map, and a CSV writer that round-trips through
-``operators.load_operator_csv``."""
+the zero map, a dense build of the shifted skew block, and a CSV writer
+that round-trips through ``operators.load_operator_csv``."""
 
 import numpy as np
 
@@ -42,3 +42,11 @@ def save_operator_csv(op, path):
     with open(path, "w") as fh:
         fh.write(f"{rows},{cols}\n")
         np.savetxt(fh, mat, delimiter=",")
+
+
+def skew_block(pair, g, f):
+    """The shifted skew block [[g I, V*], [-A, f I]] of ``pair`` as a dense
+    array, built from both maps' ``as_array``."""
+    n, m = pair.domain_dim, pair.codomain_dim
+    return np.block([[g * np.eye(n), pair.surrogate.as_array().T],
+                     [-pair.forward.as_array(), f * np.eye(m)]])

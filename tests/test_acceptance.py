@@ -20,7 +20,6 @@ import pytest
 
 from mismatch_splitting import analysis, experiments, solvers, stepsize
 from mismatch_splitting.operators import (
-    BlockSkewOperator,
     MatrixOperator,
     MismatchPair,
     ScaledIdentity,
@@ -39,7 +38,7 @@ from mismatch_splitting.proximal import (
 
 from lifted_reference import LiftedState, step_lifted_ppp
 from linf2_reference import prox_linf2_ball
-from operator_reference import adjoint_defect
+from operator_reference import adjoint_defect, skew_block
 
 
 _CAPTURE = None
@@ -367,10 +366,9 @@ def test_property_suites():
         profile = stepsize.ConvexityProfile(gg, gf, d)
         pair = MismatchPair(ScaledIdentity(1, d), ScaledIdentity(1, 0.0))
         _, mtg, _, mtf = stepsize.select_mus(profile)
-        block = BlockSkewOperator(pair, mtg, mtf)
-        plan = stepsize.compute_plan(profile, theta,
-                                     estimate_sigma_min(block),
-                                     estimate_operator_norm(block))
+        plan = stepsize.compute_plan(
+            profile, theta, estimate_sigma_min(pair, mtg, mtf),
+            estimate_operator_norm(MatrixOperator(skew_block(pair, mtg, mtf))))
         g = plan.delta * plan.tau
         for mu, mt in ((plan.mu_g, plan.mu_tilde_g), (plan.mu_f, plan.mu_tilde_f)):
             if (plan.alpha + g * mu) * (plan.alpha - g * mt) < plan.alpha**2 * (1 - 1e-9):

@@ -284,21 +284,63 @@ def test_cli_stepsize_missing_mismatch_norm(tmp_path, capsys):
     assert "missing config key: 'mismatch_norm'" in capsys.readouterr().err
 
 
-def test_cli_analyze_round_trip(tmp_path):
+def test_cli_stepsize_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_g": 2.0, "gamma_f": 0.1,
+                               "mismatch_norm": 0.2945, "thetta": 0.9}))
+    out = tmp_path / "out"
+    assert cli_main(["stepsize", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "thetta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_csv_pair(tmp_path, rng):
     from mismatch_splitting.operators import MatrixOperator
     from operator_reference import save_operator_csv
 
-    rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 6))
     v = a - 0.05 * rng.standard_normal((4, 6))
     save_operator_csv(MatrixOperator(a), tmp_path / "a.csv")
     save_operator_csv(MatrixOperator(v), tmp_path / "v.csv")
+    return {"forward_csv": str(tmp_path / "a.csv"), "surrogate_csv": str(tmp_path / "v.csv")}
+
+
+def test_cli_stepsize_rejects_mismatch_norm_with_csvs(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "forward_csv": str(tmp_path / "a.csv"),
-        "surrogate_csv": str(tmp_path / "v.csv"),
-        "alpha": 0.5, "beta": 1.0, "z": list(rng.standard_normal(4)),
-    }))
+    cfg.write_text(json.dumps({**_write_csv_pair(tmp_path, np.random.default_rng(0)),
+                               "gamma_g": 2.0, "gamma_f": 0.1, "mismatch_norm": 0.2945}))
+    out = tmp_path / "out"
+    assert cli_main(["stepsize", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "mismatch_norm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_analyze_rejects_unknown_key(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_write_csv_pair(tmp_path, rng), "alpha": 0.5,
+                               "beta": 1.0, "z": list(rng.standard_normal(4)),
+                               "probe_taus": 2.0}))
+    out = tmp_path / "out"
+    assert cli_main(["analyze", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "probe_taus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_wrongly_typed_config_value_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "abc"}))
+    out = tmp_path / "out"
+    assert cli_main(["quadratic", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_analyze_round_trip(tmp_path):
+    rng = np.random.default_rng(0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_write_csv_pair(tmp_path, rng), "alpha": 0.5,
+                               "beta": 1.0, "z": list(rng.standard_normal(4))}))
     out = tmp_path / "out"
     assert cli_main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
     with open(out / "analyze_report.json") as fh:

@@ -6,7 +6,6 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from mismatch_splitting.operators import (
-    BlockSkewOperator,
     DifferenceMap,
     FunctionOperator,
     InnerSystemSolver,
@@ -21,7 +20,7 @@ from mismatch_splitting.operators import (
     load_operator_csv,
 )
 from mismatch_splitting.tomo import ParallelGeometry, build_projector_pair, ray_driven_matrix
-from operator_reference import ZeroOperator, adjoint_defect, save_operator_csv
+from operator_reference import ZeroOperator, adjoint_defect, save_operator_csv, skew_block
 
 
 def random_matrix_op(seed, m, n, sparse=False):
@@ -94,7 +93,7 @@ def test_operator_norm_nonconvergence_carries_estimate():
 def test_operator_norm_matches_dense_svd_on_projector_pair():
     # each estimate must reach the dense SVD, not stop short of it
     pair = build_projector_pair(ParallelGeometry(16, 6, 16)).mismatch_pair()
-    block = BlockSkewOperator(pair, 0.7, 0.3)
+    block = MatrixOperator(skew_block(pair, 0.7, 0.3))
     for op in (pair.forward, pair.surrogate, pair.forward - pair.surrogate, block):
         ref = float(np.linalg.svd(op.as_array(), compute_uv=False)[0])
         assert abs(estimate_operator_norm(op) - ref) <= 1e-10 * ref
@@ -146,37 +145,19 @@ def test_mismatch_pair_matched_has_zero_norm():
     assert pair.mismatch_norm == 0.0
 
 
-@pytest.mark.parametrize("kind", ["dense", "projector"])
-def test_block_skew_matrix_equals_column_build(kind):
-    if kind == "dense":
-        from mismatch_splitting.experiments import QuadraticConfig, _quadratic_operators
-
-        a, v, _ = _quadratic_operators(QuadraticConfig())
-        pair = MismatchPair(MatrixOperator(a), MatrixOperator(v))
-    else:
-        pair = build_projector_pair(ParallelGeometry(16, 10, 16)).mismatch_pair()
-    block = BlockSkewOperator(pair, 0.7, 0.3)
-    assert scipy.sparse.issparse(block.matrix) == (kind == "projector")
-    columns = np.column_stack([block.apply(e) for e in np.eye(block.domain_dim)])
-    # the block matrix equals its column-by-column build entry for entry
-    assert np.array_equal(block.as_array(), columns)
-
-
 def test_sigma_min_identity_block():
     pair = MismatchPair(ZeroOperator(3, 3), ZeroOperator(3, 3))
-    block = BlockSkewOperator(pair, 1.0, 1.0)
-    assert abs(estimate_sigma_min(block) - 1.0) <= 1e-10
+    assert abs(estimate_sigma_min(pair, 1.0, 1.0) - 1.0) <= 1e-10
 
 
 def test_sigma_min_scalar_closed_form():
     # sigma_min of [[1, -1/2], [-1, 1]]
     pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -0.5))
-    block = BlockSkewOperator(pair, 1.0, 1.0)
-    assert abs(estimate_sigma_min(block) - 0.2807764064044151) <= 1e-10
+    assert abs(estimate_sigma_min(pair, 1.0, 1.0) - 0.2807764064044151) <= 1e-10
 
 
-def _svd_sigma_min(block):
-    return float(np.linalg.svd(block.as_array(), compute_uv=False)[-1])
+def _svd_sigma_min(pair, g, f):
+    return float(np.linalg.svd(skew_block(pair, g, f), compute_uv=False)[-1])
 
 
 @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 12),
@@ -188,9 +169,8 @@ def test_sigma_min_matches_dense_svd_on_random_pairs(seed, m, n, eta, g, f):
     e = rng.standard_normal((m, n))
     e *= eta / np.linalg.svd(e, compute_uv=False)[0]
     pair = MismatchPair(MatrixOperator(a), MatrixOperator(a - e))
-    block = BlockSkewOperator(pair, g, f)
-    ref = _svd_sigma_min(block)
-    assert abs(estimate_sigma_min(block) - ref) <= 1e-12 * ref
+    ref = _svd_sigma_min(pair, g, f)
+    assert abs(estimate_sigma_min(pair, g, f) - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "projector"])
@@ -206,24 +186,22 @@ def test_sigma_min_matches_dense_svd(kind):
     else:
         pair = build_projector_pair(ParallelGeometry(16, 6, 16)).mismatch_pair()
         g, f = 0.7, 0.3
-    block = BlockSkewOperator(pair, g, f)
-    ref = _svd_sigma_min(block)
-    assert abs(estimate_sigma_min(block) - ref) <= 1e-12 * ref
+    ref = _svd_sigma_min(pair, g, f)
+    assert abs(estimate_sigma_min(pair, g, f) - ref) <= 1e-12 * ref
 
 
 def test_sigma_min_of_singular_block_raises_naming_the_shifts():
     # [[1, -1], [-1, 1]] is singular: V* = -1, A = 1, g = f = 1
     pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, -1.0))
     with pytest.raises(SingularInnerSystemError, match="g = 1, f = 1"):
-        estimate_sigma_min(BlockSkewOperator(pair, 1.0, 1.0))
+        estimate_sigma_min(pair, 1.0, 1.0)
 
 
 def test_sigma_min_iterative_path_needs_matrices(monkeypatch):
     op = FunctionOperator(3, 3, lambda x: x, lambda y: y)
-    block = BlockSkewOperator(MismatchPair(op, op), 1.0, 1.0)
     monkeypatch.setattr("mismatch_splitting.operators.DENSE_DIM_LIMIT", 2)
     with pytest.raises(ValueError):
-        estimate_sigma_min(block)
+        estimate_sigma_min(MismatchPair(op, op), 1.0, 1.0)
 
 
 def test_inner_system_identity():
@@ -450,19 +428,11 @@ def test_vstack_stacked_adjoint_matches_block_sum():
     assert adjoint_defect(stack, rng) < 1e-14
 
 
-def test_vstack_with_matrix_free_block_applies_blocks_one_by_one():
-    calls = []
+def test_vstack_refuses_matrix_free_block():
     mat = np.random.default_rng(5).standard_normal((4, 6))
-    free = FunctionOperator(6, 4, lambda x: calls.append("apply") or mat @ x,
-                            lambda y: calls.append("adjoint") or mat.T @ y)
-    dense = random_matrix_op(6, 3, 6)
-    stack = VStackMap([dense, free])
-    assert stack.matrix is None
-    rng = np.random.default_rng(7)
-    x, y = rng.standard_normal(6), rng.standard_normal(7)
-    assert np.array_equal(stack.apply(x), np.concatenate([dense.apply(x), mat @ x]))
-    assert np.array_equal(stack.apply_adjoint(y), dense.apply_adjoint(y[:3]) + mat.T @ y[3:])
-    assert calls == ["apply", "adjoint"]
+    free = FunctionOperator(6, 4, lambda x: mat @ x, lambda y: mat.T @ y)
+    with pytest.raises(ValueError, match="matrix-free"):
+        VStackMap([random_matrix_op(6, 3, 6), free])
 
 
 def test_dense_solve_equals_lu_solve_on_its_factors_bitwise():

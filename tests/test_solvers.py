@@ -315,14 +315,15 @@ def test_parallelogram_identity(seed):
 
 def test_contraction_under_certificate():
     from mismatch_splitting import stepsize
-    from mismatch_splitting.operators import BlockSkewOperator, estimate_operator_norm, estimate_sigma_min
+    from mismatch_splitting.operators import MatrixOperator, estimate_operator_norm, estimate_sigma_min
+    from operator_reference import skew_block
 
     problem, a, v, z = quadratic_problem(12, alpha=0.3, eta=0.1)
     profile = stepsize.ConvexityProfile(0.3, 1.0, problem.pair.mismatch_norm)
     _, mtg, _, mtf = stepsize.select_mus(profile)
-    block = BlockSkewOperator(problem.pair, mtg, mtf)
-    plan = stepsize.compute_plan(profile, 0.5, estimate_sigma_min(block),
-                                 estimate_operator_norm(block))
+    plan = stepsize.compute_plan(
+        profile, 0.5, estimate_sigma_min(problem.pair, mtg, mtf),
+        estimate_operator_norm(MatrixOperator(skew_block(problem.pair, mtg, mtf))))
     stepper = PDDRStepper(problem, plan.tau, plan.theta)
     init = gaussian_state(problem, seed=3)
     ref = run(problem, stepper, StoppingRule(50000, 1e-13), initial_state=init)

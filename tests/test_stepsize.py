@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from mismatch_splitting.experiments import certified_plan
 from mismatch_splitting.operators import (
-    BlockSkewOperator,
     MatrixOperator,
     MismatchPair,
     ScaledIdentity,
@@ -26,6 +25,7 @@ from mismatch_splitting.stepsize import (
     sigma_min_lower_bound,
 )
 from mismatch_splitting.tomo import ParallelGeometry, build_projector_pair
+from operator_reference import skew_block
 
 
 def scalar_block(profile):
@@ -33,8 +33,8 @@ def scalar_block(profile):
     pair = MismatchPair(ScaledIdentity(1, profile.mismatch_norm),
                         ScaledIdentity(1, 0.0))
     _, mtg, _, mtf = select_mus(profile)
-    block = BlockSkewOperator(pair, mtg, mtf)
-    return estimate_sigma_min(block), estimate_operator_norm(block)
+    return (estimate_sigma_min(pair, mtg, mtf),
+            estimate_operator_norm(MatrixOperator(skew_block(pair, mtg, mtf))))
 
 
 def test_select_mus_zero_mismatch():
@@ -187,7 +187,7 @@ def test_exists_unique_flips_at_threshold(gamma_g, gamma_f, scale):
 
 def dense_spectrum(pair, g, f):
     """(sigma_min, ||B||) of the shifted skew block [[g I, V*], [-A, f I]]."""
-    svals = np.linalg.svd(BlockSkewOperator(pair, g, f).as_array(), compute_uv=False)
+    svals = np.linalg.svd(skew_block(pair, g, f), compute_uv=False)
     return float(svals[-1]), float(svals[0])
 
 
