@@ -24,13 +24,10 @@ from .operators import (
 )
 from .proximal import (
     ProxFn,
-    firm_nonexpansiveness_defect,
     prox_box_dual,
     prox_convex_shifted,
     prox_identity,
-    prox_l1,
     prox_scaled_quadratic,
-    soft_threshold,
 )
 from .solvers import (
     CPStepper,
@@ -50,7 +47,6 @@ from .stepsize import (
     certify_weak,
     compute_plan,
     monotonicity_c,
-    predicted_rate,
     select_mus,
 )
 from .analysis import (

@@ -6,16 +6,18 @@ configuration or runtime error.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import os
 import sys
+import typing
 
 import click
 import numpy as np
 
 from . import analysis, experiments, solvers, stepsize
-from .operators import MismatchPair, ScaledIdentity, load_operator_csv
+from .operators import MismatchPair, load_operator_csv
 from .proximal import prox_scaled_quadratic
 
 EXIT_OK = 0
@@ -37,10 +39,18 @@ def _load_config(path):
     return data
 
 
+def _type_ok(value, kind):
+    """A bool only for a bool field; an int, not a bool, for an int field;
+    an int or a float, not a bool, for a float field."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _fill(target, data, seed=None):
     """Call ``target``, a config dataclass or a keyword function, with the
     config keys, which must name its parameters and give every parameter
-    without a default."""
+    without a default.  A dataclass's values must match its field types."""
     params = inspect.signature(target).parameters
     unknown = set(data) - set(params)
     if unknown:
@@ -49,6 +59,11 @@ def _fill(target, data, seed=None):
                if p.default is p.empty and name not in data]
     if missing:
         raise click.ClickException(f"missing config key: {', '.join(map(repr, missing))}")
+    if dataclasses.is_dataclass(target):
+        for key, kind in typing.get_type_hints(target).items():
+            if key in data and not _type_ok(data[key], kind):
+                raise click.ClickException(
+                    f"config key {key!r} must be {kind.__name__}, got {data[key]!r}")
     kwargs = dict(data)
     if seed is not None:
         kwargs["seed"] = seed
@@ -117,23 +132,23 @@ def _stepsize_payload(gamma_g, gamma_f, theta=0.5, mismatch_norm=None,
     if mismatch_norm is not None and csvs != (None, None):
         raise click.ClickException(
             "give either mismatch_norm or forward_csv and surrogate_csv, not both")
+    gamma_g, gamma_f, theta = float(gamma_g), float(gamma_f), float(theta)
     if csvs == (None, None):
         if mismatch_norm is None:
             raise click.ClickException("missing config key: 'mismatch_norm'")
         d = float(mismatch_norm)
         if not d >= 0:
             raise click.ClickException(f"mismatch_norm must be nonnegative, got {d}")
-        pair = MismatchPair(ScaledIdentity(1, d), ScaledIdentity(1, 0.0))
+        plan = stepsize.plan(stepsize.ConvexityProfile(gamma_g, gamma_f, d), theta, d, 0.0)
     elif None in csvs:
         raise click.ClickException("forward_csv and surrogate_csv must be given together")
     else:
         pair = MismatchPair(load_operator_csv(forward_csv), load_operator_csv(surrogate_csv))
-    gamma_g, gamma_f = float(gamma_g), float(gamma_f)
-    plan, _ = experiments.certified_plan(pair, gamma_g, gamma_f, float(theta))
-    return {"profile": {"gamma_g": gamma_g, "gamma_f": gamma_f,
-                        "mismatch_norm": pair.mismatch_norm},
+        plan = experiments.certified_plan(pair, gamma_g, gamma_f, theta)
+        d = pair.mismatch_norm
+    return {"profile": {"gamma_g": gamma_g, "gamma_f": gamma_f, "mismatch_norm": d},
             "plan": plan.as_dict(),
-            "predicted_rate": stepsize.predicted_rate(plan)}
+            "predicted_rate": plan.rate}
 
 
 @cli.command()
@@ -143,8 +158,8 @@ def stepsize_cmd(config_path, out_dir):
     """Certified step-size plan from moduli and operators (or scalars).
 
     Config keys: gamma_g, gamma_f, theta, and either forward_csv plus
-    surrogate_csv, or a scalar mismatch_norm (modeled as the 1-d pair
-    A = d, V = 0 for the spectral quantities; d must be nonnegative).
+    surrogate_csv, or a scalar mismatch_norm d >= 0, which gives the plan
+    with ||A|| = d and ||V|| = 0, the numbers of the 1-d pair A = d, V = 0.
     """
     payload = _fill(_stepsize_payload, _load_config(config_path))
     os.makedirs(out_dir, exist_ok=True)
@@ -154,7 +169,6 @@ def stepsize_cmd(config_path, out_dir):
         fh.write("\n")
     for key, value in payload["plan"].items():
         click.echo(f"{key:>14}  {value}")
-    click.echo(f"{'rate':>14}  {payload['predicted_rate']}")
     click.echo(path)
 
 

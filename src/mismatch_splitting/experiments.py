@@ -74,23 +74,15 @@ class RunReport:
 
 
 def certified_plan(pair, gamma_g, gamma_f, theta):
-    """Certified step-size plan for ``pair`` and the moduli of G and F*, and
-    the (||A||, ||V||) it estimated.
+    """Certified step-size plan for ``pair`` and the moduli of G and F*.
 
-    The operator inputs are ||A - V|| (``pair.mismatch_norm``, estimated
-    first), ||A|| and ||V||; sigma_min and the norm of the shifted skew block
-    follow from them in closed form (stepsize.sigma_min_lower_bound,
-    stepsize.block_norm_upper_bound).  Raises CertificateError unless
-    gamma_g * gamma_f > ||A-V||^2 / 4.
+    Estimates ||A - V|| (``pair.mismatch_norm``), ||A|| and ||V||, and hands
+    them to stepsize.plan, which records the last two in the plan.  Raises
+    CertificateError unless gamma_g * gamma_f > ||A-V||^2 / 4.
     """
-    d = pair.mismatch_norm
-    profile = stepsize.ConvexityProfile(gamma_g, gamma_f, d)
-    _, mu_tg, _, mu_tf = stepsize.select_mus(profile)
-    norms = (estimate_operator_norm(pair.forward), estimate_operator_norm(pair.surrogate))
-    plan = stepsize.compute_plan(profile, theta,
-                                 stepsize.sigma_min_lower_bound(mu_tg, mu_tf, d),
-                                 stepsize.block_norm_upper_bound(mu_tg, mu_tf, *norms))
-    return plan, norms
+    profile = stepsize.ConvexityProfile(gamma_g, gamma_f, pair.mismatch_norm)
+    return stepsize.plan(profile, theta, estimate_operator_norm(pair.forward),
+                         estimate_operator_norm(pair.surrogate))
 
 
 def _plan_summary(pair, plan):
@@ -103,7 +95,7 @@ def _plan_summary(pair, plan):
         sigma = estimate_sigma_min(pair, plan.mu_tilde_g, plan.mu_tilde_f)
         spectral.update(sigma_min=sigma, sigma_bound_ratio=plan.sigma / sigma)
     return {"mismatch_norm": pair.mismatch_norm, "tau": plan.tau, "theta": plan.theta,
-            "predicted_rate": stepsize.predicted_rate(plan), "spectral": spectral}
+            "predicted_rate": plan.rate, "spectral": spectral}
 
 
 def _trace_from_result(result):
@@ -117,8 +109,8 @@ def _trace_from_result(result):
     return columns, [row + extra for row, extra in zip(result.trace, extras)]
 
 
-def _run_suite(report, problem, plan, norms, stopping, objective, x_ref,
-               matched_ref, extra_metrics=None):
+def _run_suite(report, problem, plan, stopping, objective, x_ref, matched_ref,
+               extra_metrics=None):
     """Matched, mismatched and adapted PDDR with the plan's step, then the
     surrogate-adjoint Chambolle-Pock baseline with step 0.95/sqrt(||A|| ||V||).
 
@@ -128,7 +120,7 @@ def _run_suite(report, problem, plan, norms, stopping, objective, x_ref,
     steppers and the summary entries ``cp_step`` and ``inner_backend``.
     """
     tau, theta = plan.tau, plan.theta
-    step_cp = 0.95 / math.sqrt(norms[0] * norms[1])
+    step_cp = 0.95 / math.sqrt(plan.norm_a * plan.norm_v)
     steppers = {
         "matched": solvers.PDDRStepper(problem, tau, theta, mode="matched"),
         "mismatched": solvers.PDDRStepper(problem, tau, theta),
@@ -230,7 +222,7 @@ def run_quadratic(config=None):
     config = config or QuadraticConfig()
     a_mat, v_mat, z = _quadratic_operators(config)
     pair = MismatchPair(MatrixOperator(a_mat), MatrixOperator(v_mat))
-    plan, norms = certified_plan(pair, config.alpha, config.beta, config.theta)
+    plan = certified_plan(pair, config.alpha, config.beta, config.theta)
     plan_summary = _plan_summary(pair, plan)
 
     prox_g = prox_scaled_quadratic(config.alpha)
@@ -249,7 +241,7 @@ def run_quadratic(config=None):
     dist_true = {"dist_to_true": lambda s: np.linalg.norm(s.x - x_star)}
 
     report = RunReport(experiment="quadratic", config=asdict(config), plan=plan.as_dict())
-    runs, _, suite = _run_suite(report, problem, plan, norms, stopping, objective,
+    runs, _, suite = _run_suite(report, problem, plan, stopping, objective,
                                 x_hat, x_star, dist_true)
     mm = runs["mismatched"]
     report.summary = {
@@ -305,7 +297,7 @@ def run_tomography(config=None):
     pair = proj.mismatch_pair()
     # G = lam2/2 |x|^2; F* is 1/lam0-strongly convex on the data part and
     # eps-strongly convex on the gradient part
-    plan, norms = certified_plan(
+    plan = certified_plan(
         pair, config.lam2, min(1.0 / config.lam0, config.eps), config.theta)
     plan_summary = _plan_summary(pair, plan)
 
@@ -338,7 +330,7 @@ def run_tomography(config=None):
 
     report = RunReport(experiment="tomo", config=asdict(config), plan=plan.as_dict())
     x_ref = phantom.ravel()
-    runs, steppers, suite = _run_suite(report, problem, plan, norms, stopping, objective,
+    runs, steppers, suite = _run_suite(report, problem, plan, stopping, objective,
                                        x_ref, x_ref)
     mm = runs["mismatched"]
     bound = analysis.error_bound(problem, mm.state.y, gamma_g=config.lam2)

@@ -44,16 +44,6 @@ def prox_scaled_quadratic(alpha, shift=None):
     return ProxFn(evaluate, strong_convexity=float(alpha))
 
 
-def soft_threshold(point, level):
-    point = np.asarray(point, dtype=float)
-    return np.sign(point) * np.maximum(np.abs(point) - level, 0.0)
-
-
-def prox_l1():
-    """Prox of ||.||_1: componentwise soft-thresholding at level tau."""
-    return ProxFn(lambda p, tau: soft_threshold(p, tau), strong_convexity=0.0)
-
-
 def prox_box_dual():
     """Moreau conjugate of the l1 prox: projection onto [-1, 1]^d."""
     return ProxFn(lambda p, tau: np.clip(p, -1.0, 1.0), strong_convexity=0.0)
@@ -84,12 +74,3 @@ def prox_convex_shifted(base, mu):
         return base.evaluate(p / denom, lam / denom)
 
     return ProxFn(evaluate, strong_convexity=base.strong_convexity - mu)
-
-
-def firm_nonexpansiveness_defect(prox, a, b, tau=1.0):
-    """||Pa - Pb||^2 - <Pa - Pb, a - b>; <= 0 (up to slack) for a true prox."""
-    pa = prox(a, tau)
-    pb = prox(b, tau)
-    d = pa - pb
-    return float(d @ d) - float(d @ (a - b))
-

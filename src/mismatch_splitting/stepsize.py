@@ -1,16 +1,18 @@
 """Step-size recipe, monotonicity conditions, and linear-rate formulas.
 
-Everything here is a pure function of scalars.  The two inputs about the
-shifted skew block, a lower bound on its smallest singular value and an
+Everything here is a pure function of scalars.  plan(profile, theta,
+||A||, ||V||) is the one path to a certified StepPlan: the two inputs about
+the shifted skew block, a lower bound on its smallest singular value and an
 upper bound on its norm, follow in closed form from ||A-V||, ||A|| and ||V||
-(sigma_min_lower_bound, block_norm_upper_bound).
+(sigma_min_lower_bound, block_norm_upper_bound) at select_mus's mu-tilde
+shifts.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from typing import Optional
 
 
@@ -54,6 +56,8 @@ class StepPlan:
     eta: float
     rate: float
     c: float
+    norm_a: Optional[float] = None  # ||A|| and ||V||, as given to plan()
+    norm_v: Optional[float] = None
 
     def as_dict(self):
         return asdict(self)
@@ -133,6 +137,8 @@ def compute_plan(profile, theta, sigma, b_sigma_norm):
     ``sigma`` is a lower bound on the smallest singular value and
     ``b_sigma_norm`` an upper bound on the norm of the mu-tilde-shifted skew
     block, the block built with the mus returned by select_mus(profile).
+    plan() forms both in closed form; any other caller must supply bounds
+    taken at those same mu-tilde shifts.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
@@ -212,6 +218,20 @@ def compute_plan(profile, theta, sigma, b_sigma_norm):
     )
 
 
+def plan(profile, theta, norm_a, norm_v):
+    """Certified step-size plan from the moduli and ||A-V|| in ``profile``,
+    theta, ||A|| and ||V||: the closed-form sigma_min and ||B_sigma|| bounds
+    at select_mus's mu-tilde shifts, through compute_plan.  The plan records
+    ``norm_a`` and ``norm_v``.  Raises CertificateError unless
+    gamma_g * gamma_f > ||A-V||^2 / 4.
+    """
+    _, mu_tilde_g, _, mu_tilde_f = select_mus(profile)
+    sigma = sigma_min_lower_bound(mu_tilde_g, mu_tilde_f, profile.mismatch_norm)
+    b_sigma_norm = block_norm_upper_bound(mu_tilde_g, mu_tilde_f, norm_a, norm_v)
+    return replace(compute_plan(profile, theta, sigma, b_sigma_norm),
+                   norm_a=norm_a, norm_v=norm_v)
+
+
 def rate_eta(tau, delta, upsilon, sigma, b_sigma_norm, mu_tilde_max):
     """The strong-monotonicity constant eta entering the linear rate."""
     g = tau * delta
@@ -219,8 +239,3 @@ def rate_eta(tau, delta, upsilon, sigma, b_sigma_norm, mu_tilde_max):
         upsilon / (2.0 * delta - 1.0) ** 2,
         sigma / (4.0 * g**2 * b_sigma_norm**2 + (delta - 1.0 + g * mu_tilde_max) ** 2),
     )
-
-
-def predicted_rate(plan):
-    """Per-iteration contraction factor (1 + (1 - theta(1+alpha)) eta)/(1 + eta)."""
-    return (1.0 + (1.0 - plan.theta * (1.0 + plan.alpha)) * plan.eta) / (1.0 + plan.eta)

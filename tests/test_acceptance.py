@@ -27,17 +27,15 @@ from mismatch_splitting.operators import (
     estimate_sigma_min,
 )
 from mismatch_splitting.proximal import (
-    firm_nonexpansiveness_defect,
     prox_box_dual,
     prox_convex_shifted,
     prox_identity,
-    prox_l1,
     prox_scaled_quadratic,
-    soft_threshold,
 )
 
 from lifted_reference import LiftedState, step_lifted_ppp
 from linf2_reference import prox_linf2_ball
+from proximal_reference import firm_nonexpansiveness_defect, prox_l1, soft_threshold
 from operator_reference import adjoint_defect, skew_block
 
 

@@ -11,9 +11,11 @@ from mismatch_splitting.analysis import (
     quadratic_reference,
 )
 from mismatch_splitting.operators import MatrixOperator, MismatchPair, ScaledIdentity
-from mismatch_splitting.proximal import prox_l1, prox_scaled_quadratic
+from mismatch_splitting.proximal import prox_scaled_quadratic
 from mismatch_splitting.solvers import PDDRStepper, SaddleProblem, StoppingRule, run
 from mismatch_splitting.stepsize import ConvexityProfile
+
+from proximal_reference import prox_l1
 
 
 def scalar_problem(v_scale):

@@ -65,6 +65,13 @@ def test_run_quadratic_small_instance():
     assert report.plan["tau"] == pytest.approx(s["tau"])
 
 
+def test_run_quadratic_summary_reads_the_plan():
+    report = run_quadratic(small_quadratic())
+    plan = report.plan
+    assert report.summary["predicted_rate"] == plan["rate"]
+    assert report.summary["cp_step"] == 0.95 / np.sqrt(plan["norm_a"] * plan["norm_v"])
+
+
 def test_run_quadratic_deterministic():
     r1 = run_quadratic(small_quadratic())
     r2 = run_quadratic(small_quadratic())
@@ -267,6 +274,15 @@ def test_cli_stepsize_plan(tmp_path):
     assert 0 < payload["predicted_rate"] < 1
 
 
+def test_cli_stepsize_prints_one_rate_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_g": 2.0, "gamma_f": 0.1,
+                               "mismatch_norm": 0.2945, "theta": 0.5}))
+    assert cli_main(["stepsize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines].count("rate") == 1
+
+
 def test_cli_stepsize_rejects_negative_mismatch_norm(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamma_g": 2.0, "gamma_f": 0.1,
@@ -332,8 +348,25 @@ def test_cli_wrongly_typed_config_value_exits_one(tmp_path, capsys):
     cfg.write_text(json.dumps({"n": "abc"}))
     out = tmp_path / "out"
     assert cli_main(["quadratic", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert "Error: config key 'n' must be int" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_non_bool_config_flag_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"with_oracle": "no"}))
+    out = tmp_path / "out"
+    assert cli_main(["tomo", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config key 'with_oracle' must be bool" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_int_for_float_config_value_runs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 40, "m": 20, "max_iters": 4000, "alpha": 1}))
+    out = tmp_path / "out"
+    assert cli_main(["quadratic", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "quadratic_summary.json").exists()
 
 
 def test_cli_analyze_round_trip(tmp_path):

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mismatch_splitting.proximal import (
-    firm_nonexpansiveness_defect,
     prox_box_dual,
     prox_convex_shifted,
     prox_identity,
-    prox_l1,
     prox_scaled_quadratic,
-    soft_threshold,
 )
 
 from linf2_reference import project_linf2, prox_linf2_ball
+from proximal_reference import firm_nonexpansiveness_defect, prox_l1, soft_threshold
 
 
 def shipped_proxes():

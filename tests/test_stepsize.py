@@ -19,7 +19,7 @@ from mismatch_splitting.stepsize import (
     certify_weak,
     compute_plan,
     monotonicity_c,
-    predicted_rate,
+    plan as scalar_plan,
     rate_eta,
     select_mus,
     sigma_min_lower_bound,
@@ -136,24 +136,16 @@ def test_plan_invariants(gamma_g, gamma_f, d_frac, theta):
         assert lhs >= plan.alpha**2 * (1.0 - 1e-9)
 
 
-def test_predicted_rate_limits():
-    profile = ConvexityProfile(1.0, 1.0, 0.2)
-    plan = compute_plan(profile, 0.5, *scalar_block(profile))
-    # theta (1 + alpha) = 1 collapses the numerator to 1
-    assert plan.theta * (1.0 + plan.alpha) == pytest.approx(1.0)
-    assert predicted_rate(plan) == pytest.approx(1.0 / (1.0 + plan.eta))
-    plan.eta = 0.0
-    assert predicted_rate(plan) == 1.0
-
-
-def test_predicted_rate_monotone_in_eta():
-    profile = ConvexityProfile(1.0, 1.0, 0.2)
-    plan = compute_plan(profile, 0.5, *scalar_block(profile))
-    rates = []
-    for eta in (0.01, 0.1, 1.0, 10.0):
-        plan.eta = eta
-        rates.append(predicted_rate(plan))
-    assert all(b < a for a, b in zip(rates, rates[1:]))
+@pytest.mark.parametrize("gamma_g, gamma_f, d, theta", [
+    (1.0, 1.0, 0.0, 0.5), (2.0, 0.1, 0.2945, 0.5), (0.15, 1.0, 0.15, 0.9),
+    (3.0, 0.4, 2.0, 0.137),
+])
+def test_scalar_plan_equals_certified_plan_on_1d_pair(gamma_g, gamma_f, d, theta):
+    # the 1-d pair A = d, V = 0 has ||A - V|| = ||A|| = d and ||V|| = 0
+    pair = MismatchPair(ScaledIdentity(1, d), ScaledIdentity(1, 0.0))
+    plan = scalar_plan(ConvexityProfile(gamma_g, gamma_f, d), theta, d, 0.0)
+    assert plan.as_dict() == certified_plan(pair, gamma_g, gamma_f, theta).as_dict()
+    assert (plan.norm_a, plan.norm_v) == (d, 0.0)
 
 
 def test_validation_errors():
@@ -210,7 +202,7 @@ def check_bounds_and_plan(pair, gamma_g, excess, theta):
     norm_a = float(np.linalg.norm(pair.forward.as_array(), 2))
     norm_v = float(np.linalg.norm(pair.surrogate.as_array(), 2))
     gamma_f = 0.25 * d * d * (1.0 + excess) / gamma_g
-    plan, _ = certified_plan(pair, gamma_g, gamma_f, theta)
+    plan = certified_plan(pair, gamma_g, gamma_f, theta)
     g, f = plan.mu_tilde_g, plan.mu_tilde_f
     sigma, b_norm = dense_spectrum(pair, g, f)
 
