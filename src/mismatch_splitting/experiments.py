@@ -367,14 +367,16 @@ def run_tomography(config=None):
 
 
 def write_pgm(path, image, vmin=None, vmax=None):
-    """Write a 2-d array as a binary 8-bit PGM (deterministic bytes)."""
+    """Write a 2-d array as a binary 8-bit PGM (deterministic bytes), scaled
+    on its finite pixels; NaN and -inf are written as 0 and +inf as 255."""
     img = np.asarray(image, dtype=float)
-    lo = float(np.min(img)) if vmin is None else vmin
-    hi = float(np.max(img)) if vmax is None else vmax
-    if hi <= lo:
-        scaled = np.zeros_like(img)
-    else:
-        scaled = (img - lo) / (hi - lo)
+    finite = np.isfinite(img)
+    lo = float(np.min(img, initial=np.inf, where=finite)) if vmin is None else vmin
+    hi = float(np.max(img, initial=-np.inf, where=finite)) if vmax is None else vmax
+    scaled = np.zeros_like(img)
+    if hi > lo:
+        scaled[finite] = (img[finite] - lo) / (hi - lo)
+    scaled[img == np.inf] = 1.0
     data = np.clip(np.rint(scaled * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))

@@ -23,8 +23,8 @@ DENSE_DIM_LIMIT = 2000
 # a factorisation whose LAPACK 1-norm reciprocal condition estimate falls
 # below this is treated as singular
 RCOND_FLOOR = 1e-14
-# columns of the Woodbury capacitance formed per batch of base solves
-_CAPACITANCE_BATCH = 256
+# Woodbury capacitance columns per batch: 32 fit a 2 MiB L2 to 64^2 (256: 1.7x slower)
+_CAPACITANCE_BATCH = 32
 
 
 class PowerIterationError(RuntimeError):
@@ -365,10 +365,10 @@ class InnerSystemSolver:
       stack their other blocks' matrices.  The domain-side Schur
       complement is B + tau^2 R_V^T R_A with B = ab I + tau^2 D^T D, which
       the orthonormal 2-D DCT-II diagonalises; only the capacitance
-      C = I/tau^2 + R_A B^{-1} R_V^T, of the size of R_A's rows, is factored.
-      The solve s = C^{-1} R_A B^{-1} r, v = B^{-1} (r - R_V^T s) gives
-      R_A v = s/tau^2 exactly, so w = (r_y + s/tau)/b off D's rows and only
-      D is applied to v.
+      C = I/tau^2 + R_A B^{-1} R_V^T, of R_A's row count, is formed 32 columns
+      at a time and factored.  With u = b r_x - tau D^T r_D, the solve is
+      t = C^{-1} (R_A B^{-1} u + r_R/tau), v = B^{-1} (u - R_V^T t), w_R =
+      t/(tau b), w_D = (r_D + tau D v)/b; the stacked V* is never applied.
     - ``"dense"``: LAPACK LU of the Schur complement on the smaller side,
       densified if sparse, and formed by scipy's dgemm if dense.  A
       matrix-free map is materialised once, by ``as_array``, at n applies
@@ -490,17 +490,17 @@ class InnerSystemSolver:
         r_a, r_v_t = self._r
         return _transposed(r_v_t), _transposed(r_a)
 
-    def _woodbury_solve(self, rhs, rhs_y, tau, trans):
-        """Woodbury solve for ``_solve``; transposed, C^T is the capacitance
-        (B is symmetric): s = C^{-T} R_V B^{-1} r, v = B^{-1} (r - R_A^T s)."""
+    def _woodbury_solve(self, rhs_x, rhs_y, tau, trans):
+        """Woodbury solve for ``_solve``, by R_A B^{-1} R_V^T = C - I/tau^2;
+        transposed, R_A and R_V swap and C^T is the capacitance (B = B^T)."""
         left, right = self._r_transposed if trans else self._r
-        s = _lu_solve(self._lu, left @ self._base_solve(rhs), trans)
-        v = self._base_solve(rhs - right @ s)
         grad, d, rest = self._shared
+        u = self.b * rhs_x - tau * grad.apply_adjoint(rhs_y[d])
+        t = _lu_solve(self._lu, left @ self._base_solve(u) + rhs_y[rest] / tau, trans)
+        v = self._base_solve(u - right @ t)
         w = np.empty(self.pair.codomain_dim)
-        w[d] = rhs_y[d] + tau * grad.apply(v)
-        w[rest] = rhs_y[rest] + s / tau
-        w /= self.b
+        w[d] = (rhs_y[d] + tau * grad.apply(v)) / self.b
+        w[rest] = t / (tau * self.b)
         return v, w
 
     def solve(self, rhs_x, rhs_y):
@@ -514,6 +514,8 @@ class InnerSystemSolver:
         return self._solve(rhs_x, rhs_y, -self.tau, self.pair.surrogate, self.pair.forward, 1)
 
     def _solve(self, rhs_x, rhs_y, tau, fwd, sur, trans):
+        if self.backend == "woodbury":
+            return self._woodbury_solve(rhs_x, rhs_y, tau, trans)
         a, b = self.a, self.b
         if self.eliminate_primal:
             rhs = a * rhs_y + tau * fwd.apply(rhs_x)
@@ -521,8 +523,6 @@ class InnerSystemSolver:
             v = (rhs_x - tau * sur.apply_adjoint(w)) / a
         else:
             rhs = b * rhs_x - tau * sur.apply_adjoint(rhs_y)
-            if self.backend == "woodbury":
-                return self._woodbury_solve(rhs, rhs_y, tau, trans)
             v = _lu_solve(self._lu, rhs, trans)
             w = (rhs_y + tau * fwd.apply(v)) / b
         return v, w

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,16 @@ def test_write_pgm_flat_image(tmp_path):
     write_pgm(path, np.full((2, 2), 3.0))
     body = path.read_bytes().split(b"255\n", 1)[1]
     assert body == bytes(4)
+
+
+def test_write_pgm_scales_on_finite_pixels(tmp_path):
+    path = tmp_path / "nan.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_pgm(path, np.array([[0.0, 1.0], [np.nan, 0.5]]))
+        write_pgm(tmp_path / "inf.pgm", np.array([[-np.inf, 2.0], [np.inf, 4.0]]))
+    assert path.read_bytes().split(b"255\n", 1)[1] == bytes([0, 255, 0, 128])
+    assert (tmp_path / "inf.pgm").read_bytes().split(b"255\n", 1)[1] == bytes([0, 0, 255, 255])
 
 
 def test_cli_quadratic_exit_zero(tmp_path):

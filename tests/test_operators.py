@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
+from mismatch_splitting import operators
 from mismatch_splitting.operators import (
     DifferenceMap,
     FunctionOperator,
@@ -398,6 +401,59 @@ def test_woodbury_solve_does_not_apply_the_non_shared_forward_blocks():
             block.apply = refuse
     v, w = solver.solve(rx, ry)
     assert np.array_equal(v, ref[0]) and np.array_equal(w, ref[1])
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_woodbury_solve_does_not_apply_the_stacked_adjoint(transpose):
+    # solve reads V* only through D^T; solve_transpose reads A* only through D^T
+    pair = _woodbury_stacks(8)[1]
+    solver = InnerSystemSolver(pair, 0.3, 0.1, 0.2)
+    solve = solver.solve_transpose if transpose else solver.solve
+    rng = np.random.default_rng(5)
+    rx, ry = rng.standard_normal(pair.domain_dim), rng.standard_normal(pair.codomain_dim)
+    ref = solve(rx, ry)
+
+    def refuse(x):
+        raise AssertionError("the stacked adjoint or a non-shared block was applied")
+
+    refused = pair.forward if transpose else pair.surrogate
+    refused.apply_adjoint = refuse
+    for block in refused.blocks:
+        if not hasattr(block, "dct_eigenvalues"):
+            block.apply = block.apply_adjoint = refuse
+    v, w = solve(rx, ry)
+    assert v.tobytes() == ref[0].tobytes() and w.tobytes() == ref[1].tobytes()
+
+
+def test_capacitance_batching_leaves_the_factors_unchanged(monkeypatch):
+    # each column of C is formed on its own, so no batch size changes a bit
+    geom = ParallelGeometry(16, 4, 16)
+    pair = build_projector_pair(geom).mismatch_pair()
+
+    def factors():
+        solver = InnerSystemSolver(pair, 0.3, 0.5, 0.2)
+        assert solver.backend == "woodbury"
+        return solver._lu[0].tobytes(), solver._lu[1].tobytes(), solver.rcond
+
+    ref = factors()
+    rows = geom.sinogram_size  # the capacitance's order
+    assert rows > operators._CAPACITANCE_BATCH
+    for batch in (1, 7, rows, 4 * rows):  # 7: a ragged last batch
+        monkeypatch.setattr(operators, "_CAPACITANCE_BATCH", batch)
+        assert factors() == ref
+
+
+def test_woodbury_build_peak_memory_stays_small():
+    # this build peaked at 37 MiB with 256-row capacitance batches, 13 MiB with 32
+    pair = build_projector_pair(ParallelGeometry(64, 10, 64)).mismatch_pair()
+    tracemalloc.start()
+    try:
+        solver = InnerSystemSolver(pair, 0.3, 0.5, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solver.backend == "woodbury"
+    assert peak < 20 * 2**20
 
 
 def _sparse_stack(seed):
