@@ -8,10 +8,8 @@ side by side with a primal-dual hybrid gradient baseline.
 """
 
 from .operators import (
-    DifferenceMap,
     FunctionOperator,
     InnerSystemSolver,
-    LinearMap,
     MatrixOperator,
     MismatchPair,
     PowerIterationError,

@@ -291,6 +291,8 @@ def run_tomography(config=None):
     giving strong convexity on both sides of the saddle point.
     """
     config = config or TomoConfig()
+    if not config.lam0 > 0:
+        raise ValueError(f"lam0 must be positive, got {config.lam0}")
     num_bins = config.num_bins or config.image_size
     geom = tomo.ParallelGeometry(config.image_size, config.num_angles, num_bins)
     proj = tomo.build_projector_pair(geom)

@@ -8,7 +8,6 @@ in the pair.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -46,42 +45,10 @@ class SingularInnerSystemError(RuntimeError):
     """The 2x2 block system is singular or numerically unusable."""
 
 
-class LinearMap:
-    """A bounded linear operator with a true adjoint.
-
-    Subclasses implement ``apply`` and ``apply_adjoint``; the adjoint must be
-    the exact transpose of ``apply`` (mismatch is modeled by carrying two
-    distinct maps, never by a sloppy adjoint).
-    """
-
-    domain_dim: int
-    codomain_dim: int
-
-    def apply(self, x):
-        raise NotImplementedError
-
-    def apply_adjoint(self, y):
-        raise NotImplementedError
-
-    @property
-    def matrix(self):
-        """Dense or sparse matrix backing this map, or None if matrix-free."""
-        return None
-
-    def as_array(self):
-        """Materialize as a dense ndarray (column-by-column if matrix-free)."""
-        m = self.matrix
-        if m is not None:
-            return m.toarray() if scipy.sparse.issparse(m) else np.asarray(m, dtype=float)
-        cols = [self.apply(e) for e in np.eye(self.domain_dim)]
-        return np.column_stack(cols)
-
-    def __sub__(self, other):
-        return DifferenceMap(self, other)
-
-
-class MatrixOperator(LinearMap):
-    """LinearMap backed by a dense ndarray or scipy sparse matrix."""
+class MatrixOperator:
+    """A bounded linear operator backed by a dense ndarray or scipy sparse
+    matrix, with its exact transpose as adjoint (mismatch is modeled by
+    carrying two distinct maps, never by a sloppy adjoint)."""
 
     def __init__(self, matrix):
         if not scipy.sparse.issparse(matrix):
@@ -102,6 +69,17 @@ class MatrixOperator(LinearMap):
     def apply_adjoint(self, y):
         return self._adjoint @ np.asarray(y, dtype=float)
 
+    def as_array(self):
+        """The matrix as a dense ndarray."""
+        m = self._matrix
+        return m.toarray() if scipy.sparse.issparse(m) else m
+
+    def __sub__(self, other):
+        """The entrywise difference of the two matrices."""
+        if self._matrix.shape != other.matrix.shape:
+            raise ValueError("operator dimensions do not match")
+        return MatrixOperator(self._matrix - other.matrix)
+
 
 def _transposed(matrix):
     """The transpose to multiply with: one CSR copy for a sparse matrix, whose
@@ -110,8 +88,14 @@ def _transposed(matrix):
     return matrix.T.tocsr() if scipy.sparse.issparse(matrix) else matrix.T
 
 
-class FunctionOperator(LinearMap):
-    """Matrix-free LinearMap from a forward/adjoint callable pair."""
+def _require_matrices(ops, what):
+    if not all(isinstance(op, MatrixOperator) for op in ops):
+        raise ValueError(f"{what} must be MatrixOperators; a matrix-free map is refused")
+
+
+class FunctionOperator:
+    """Matrix-free map from a forward/adjoint callable pair, for
+    estimate_operator_norm; a MismatchPair or VStackMap refuses it."""
 
     def __init__(self, domain_dim, codomain_dim, forward, adjoint):
         self.domain_dim = domain_dim
@@ -126,69 +110,30 @@ class FunctionOperator(LinearMap):
         return self._adjoint(np.asarray(y, dtype=float))
 
 
-class ScaledIdentity(LinearMap):
+class ScaledIdentity(MatrixOperator):
+    """``scale * I`` of order ``dim``, in CSR."""
+
     def __init__(self, dim, scale=1.0):
-        self.domain_dim = dim
-        self.codomain_dim = dim
-        self.scale = float(scale)
-
-    @property
-    def matrix(self):
-        return self.scale * scipy.sparse.eye(self.domain_dim, format="csr")
-
-    def apply(self, x):
-        return self.scale * np.asarray(x, dtype=float)
-
-    def apply_adjoint(self, y):
-        return self.scale * np.asarray(y, dtype=float)
-
-
-class DifferenceMap(LinearMap):
-    """Lazy A - B of two maps with matching dimensions."""
-
-    def __init__(self, a, b):
-        if (a.domain_dim, a.codomain_dim) != (b.domain_dim, b.codomain_dim):
-            raise ValueError("operator dimensions do not match")
-        self.a = a
-        self.b = b
-        self.domain_dim = a.domain_dim
-        self.codomain_dim = a.codomain_dim
-
-    @property
-    def matrix(self):
-        ma, mb = self.a.matrix, self.b.matrix
-        if ma is None or mb is None:
-            return None
-        return ma - mb
-
-    def apply(self, x):
-        return self.a.apply(x) - self.b.apply(x)
-
-    def apply_adjoint(self, y):
-        return self.a.apply_adjoint(y) - self.b.apply_adjoint(y)
+        super().__init__(float(scale) * scipy.sparse.eye(dim, format="csr"))
 
 
 class VStackMap(MatrixOperator):
-    """Vertical stack (A1; A2; ...) sharing one domain: a MatrixOperator on
-    the stacked matrix, CSR if any block's matrix is sparse and an ndarray
-    otherwise.  Every block must carry a matrix (ValueError).  ``blocks``
-    and the row ``_offsets`` of each block stay for InnerSystemSolver's
-    Woodbury detection."""
+    """Vertical stack (A1; A2; ...) of MatrixOperators sharing one domain: a
+    MatrixOperator on the stacked matrix, CSR if any block's matrix is
+    sparse and an ndarray otherwise.  A matrix-free block raises ValueError.
+    ``blocks`` stays for InnerSystemSolver's Woodbury detection."""
 
     def __init__(self, blocks):
         self.blocks = list(blocks)
+        _require_matrices(self.blocks, "stacked blocks")
         if len({b.domain_dim for b in self.blocks}) != 1:
             raise ValueError("stacked blocks must share the domain dimension")
         mats = [b.matrix for b in self.blocks]
-        if any(m is None for m in mats):
-            raise ValueError("stacked blocks must carry matrices; a matrix-free "
-                             "block cannot be stacked")
         if any(scipy.sparse.issparse(m) for m in mats):
             mat = scipy.sparse.vstack([scipy.sparse.csr_matrix(m) for m in mats], format="csr")
         else:
             mat = np.vstack(mats)
         super().__init__(mat)
-        self._offsets = np.cumsum([0] + [b.codomain_dim for b in self.blocks])
 
 
 def estimate_operator_norm(op, tol=1e-9, max_iters=5000):
@@ -256,14 +201,18 @@ def estimate_operator_norm(op, tol=1e-9, max_iters=5000):
 
 @dataclass
 class MismatchPair:
-    """Forward map A together with the surrogate V whose adjoint plays V*."""
+    """Forward map A together with the surrogate V whose adjoint plays V*.
 
-    forward: LinearMap
-    surrogate: LinearMap
+    Both are MatrixOperators of identical dimensions (ValueError otherwise,
+    and for a matrix-free map)."""
+
+    forward: MatrixOperator
+    surrogate: MatrixOperator
     _mismatch_norm: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         f, s = self.forward, self.surrogate
+        _require_matrices((f, s), "forward and surrogate")
         if (f.domain_dim, f.codomain_dim) != (s.domain_dim, s.codomain_dim):
             raise ValueError("forward and surrogate must share identical dimensions")
 
@@ -278,7 +227,8 @@ class MismatchPair:
     @property
     def mismatch_norm(self):
         """||A - V||, estimated once by estimate_operator_norm (Lanczos on
-        the Gram operator of the smaller side) and cached."""
+        the Gram operator of the smaller side) on the entrywise difference
+        of the two matrices, and cached."""
         if self._mismatch_norm is None:
             self._mismatch_norm = estimate_operator_norm(self.forward - self.surrogate)
         return self._mismatch_norm
@@ -359,10 +309,11 @@ class InnerSystemSolver:
     The Schur complement is factored once, on construction, by a backend
     chosen from the structure of the pair (``backend``):
 
-    - ``"woodbury"``: forward and surrogate are VStackMaps that share one
-      block D exposing ``image_shape`` and ``dct_eigenvalues``, the spectrum
-      of D^T D in the 2-D DCT-II basis (tomo.NeumannGradient); R_A and R_V
-      stack their other blocks' matrices.  The domain-side Schur
+    - ``"woodbury"``: forward and surrogate are the two-block VStackMaps
+      [R_A; D] and [R_V; D] of one shared block D exposing ``image_shape``
+      and ``dct_eigenvalues``, the spectrum of D^T D in the 2-D DCT-II basis
+      (tomo.NeumannGradient), as the tomography pair is; R_A and R_V are
+      read in place, matrices and CSR transposes.  The domain-side Schur
       complement is B + tau^2 R_V^T R_A with B = ab I + tau^2 D^T D, which
       the orthonormal 2-D DCT-II diagonalises; only the capacitance
       C = I/tau^2 + R_A B^{-1} R_V^T, of R_A's row count, is formed 32 columns
@@ -370,9 +321,8 @@ class InnerSystemSolver:
       t = C^{-1} (R_A B^{-1} u + r_R/tau), v = B^{-1} (u - R_V^T t), w_R =
       t/(tau b), w_D = (r_D + tau D v)/b; the stacked V* is never applied.
     - ``"dense"``: LAPACK LU of the Schur complement on the smaller side,
-      densified if sparse, and formed by scipy's dgemm if dense.  A
-      matrix-free map is materialised once, by ``as_array``, at n applies
-      and m*n floats.
+      densified if sparse, and formed by scipy's dgemm if dense; every
+      other pair, gradient-first or longer stacks included.
 
     The backend depends on structure alone, never on a size limit.  Every
     inner solve is a direct LU, guarded by its dgecon estimate ``rcond``:
@@ -397,14 +347,9 @@ class InnerSystemSolver:
         self.factor_s = time.perf_counter() - t0
 
     def _schur_matrix(self):
-        """Materialize the Schur complement ab I + tau^2 A V* (V* A on the
-        domain side), densifying a matrix-free map."""
-        fwd, sur = self.pair.forward, self.pair.surrogate
-        ma, mv = fwd.matrix, sur.matrix
-        if ma is None:
-            ma = fwd.as_array()
-        if mv is None:
-            mv = sur.as_array()
+        """The dense Schur complement ab I + tau^2 A V* (V* A on the domain
+        side)."""
+        ma, mv = self.pair.forward.matrix, self.pair.surrogate.matrix
         t2 = self.tau**2
         ab_eye = self.a * self.b * np.eye(
             self.pair.codomain_dim if self.eliminate_primal else self.pair.domain_dim)
@@ -438,41 +383,33 @@ class InnerSystemSolver:
             )
 
     def _shared_dct_block(self):
-        """(D, D's rows, R_A, R_V) when forward and surrogate stack one shared
-        block D exposing ``dct_eigenvalues`` beside the blocks of R_A, R_V."""
+        """(D, R_A, R_V) when forward and surrogate are the two-block stacks
+        [R_A; D] and [R_V; D] of one shared D exposing ``dct_eigenvalues``."""
         fwd, sur = self.pair.forward, self.pair.surrogate
         if not (isinstance(fwd, VStackMap) and isinstance(sur, VStackMap)):
             return None
-        pairs = list(zip(fwd.blocks, sur.blocks))
-        if len(fwd.blocks) != len(sur.blocks) or any(
-                fb.codomain_dim != sb.codomain_dim for fb, sb in pairs):
+        if len(fwd.blocks) != 2 or len(sur.blocks) != 2:
             return None
-        shared = [i for i, (fb, sb) in enumerate(pairs)
-                  if fb is sb and hasattr(fb, "dct_eigenvalues")]
-        if len(shared) != 1 or len(pairs) == 1:
+        (r_a, grad), (r_v, grad_v) = fwd.blocks, sur.blocks
+        if grad is not grad_v or not hasattr(grad, "dct_eigenvalues"):
             return None
-        i = shared[0]
-        rest = [bs for j, bs in enumerate(pairs) if j != i]
-        r_a = VStackMap([fb for fb, _ in rest]).matrix
-        r_v = VStackMap([sb for _, sb in rest]).matrix
-        return pairs[i][0], slice(fwd._offsets[i], fwd._offsets[i + 1]), r_a, r_v
+        return grad, r_a, r_v
 
-    def _build_woodbury(self, grad, rows_d, r_a, r_v):
+    def _build_woodbury(self, grad, r_a, r_v):
         self.backend = "woodbury"
         self.eliminate_primal = False
         t2 = self.tau**2
         rows, cols = grad.image_shape
         self._dct = (dct_matrix(rows), dct_matrix(cols))
         self._base_eig = self.a * self.b + t2 * np.reshape(grad.dct_eigenvalues, (rows, cols))
-        self._shared = (grad, rows_d, np.delete(np.arange(self.pair.codomain_dim), rows_d))
-        self._r = (r_a, _transposed(r_v))
-        k = r_a.shape[0]
+        self._grad, self._r = grad, (r_a, r_v)
+        k = r_a.codomain_dim
         cap = np.eye(k) / t2
         for lo in range(0, k, _CAPACITANCE_BATCH):
-            block = r_v[lo:lo + _CAPACITANCE_BATCH]
+            block = r_v.matrix[lo:lo + _CAPACITANCE_BATCH]
             block = block.toarray() if scipy.sparse.issparse(block) else np.asarray(block)
             # rows of B^{-1} R_V^T (B is symmetric) -> columns of R_A B^{-1} R_V^T
-            cap[:, lo:lo + block.shape[0]] += r_a @ self._base_solve(block).T
+            cap[:, lo:lo + block.shape[0]] += r_a.matrix @ self._base_solve(block).T
         self._lu, self.rcond = _dense_lu(cap)
         self._check_rcond("Woodbury capacitance")
 
@@ -484,24 +421,17 @@ class InnerSystemSolver:
         spec /= self._base_eig
         return (c_rows.T @ spec @ c_cols).reshape(x.shape)
 
-    @functools.cached_property
-    def _r_transposed(self):
-        """(R_V, R_A^T) for the transposed Woodbury solve, formed on first use."""
-        r_a, r_v_t = self._r
-        return _transposed(r_v_t), _transposed(r_a)
-
     def _woodbury_solve(self, rhs_x, rhs_y, tau, trans):
         """Woodbury solve for ``_solve``, by R_A B^{-1} R_V^T = C - I/tau^2;
         transposed, R_A and R_V swap and C^T is the capacitance (B = B^T)."""
-        left, right = self._r_transposed if trans else self._r
-        grad, d, rest = self._shared
-        u = self.b * rhs_x - tau * grad.apply_adjoint(rhs_y[d])
-        t = _lu_solve(self._lu, left @ self._base_solve(u) + rhs_y[rest] / tau, trans)
+        r_a, r_v = self._r
+        left, right = (r_v.matrix, r_a._adjoint) if trans else (r_a.matrix, r_v._adjoint)
+        rhs_r, rhs_d = rhs_y[:r_a.codomain_dim], rhs_y[r_a.codomain_dim:]
+        u = self.b * rhs_x - tau * self._grad.apply_adjoint(rhs_d)
+        t = _lu_solve(self._lu, left @ self._base_solve(u) + rhs_r / tau, trans)
         v = self._base_solve(u - right @ t)
-        w = np.empty(self.pair.codomain_dim)
-        w[d] = (rhs_y[d] + tau * grad.apply(v)) / self.b
-        w[rest] = t / (tau * self.b)
-        return v, w
+        w_d = (rhs_d + tau * self._grad.apply(v)) / self.b
+        return v, np.concatenate([t / (tau * self.b), w_d])
 
     def solve(self, rhs_x, rhs_y):
         """(v, w) with a v + tau V* w = rhs_x and -tau A v + b w = rhs_y."""

@@ -4,23 +4,12 @@ that round-trips through ``operators.load_operator_csv``."""
 
 import numpy as np
 
-from mismatch_splitting.operators import LinearMap
+from mismatch_splitting.operators import MatrixOperator
 
 
-class ZeroOperator(LinearMap):
+class ZeroOperator(MatrixOperator):
     def __init__(self, domain_dim, codomain_dim):
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
-
-    @property
-    def matrix(self):
-        return np.zeros((self.codomain_dim, self.domain_dim))
-
-    def apply(self, x):
-        return np.zeros(self.codomain_dim)
-
-    def apply_adjoint(self, y):
-        return np.zeros(self.domain_dim)
+        super().__init__(np.zeros((codomain_dim, domain_dim)))
 
 
 def adjoint_defect(op, rng, n_trials=100):

@@ -173,6 +173,25 @@ def test_tomography_without_existence_raises_certificate_error():
         run_tomography(TomoConfig(image_size=16, num_angles=4, lam2=1e-4))
 
 
+def test_tomography_with_two_angles_converges():
+    # the two projectors agree to rounding at 0 and 90 degrees, so ||A - V||
+    # is rounding noise and must come back as a number, not an error
+    report = run_tomography(TomoConfig(16, 2, seed=3))
+    assert report.statuses == dict.fromkeys(("matched", "mismatched", "adapted", "cp"),
+                                            "converged")
+    assert report.summary["mismatch_norm"] <= 1e-15
+
+
+@pytest.mark.parametrize("lam0", [0.0, -1.0])
+def test_tomography_refuses_non_positive_lam0_before_assembly(monkeypatch, lam0):
+    def refuse(geom):
+        raise AssertionError("the projectors were assembled")
+
+    monkeypatch.setattr("mismatch_splitting.tomo.build_projector_pair", refuse)
+    with pytest.raises(ValueError, match="lam0"):
+        run_tomography(TomoConfig(image_size=8, num_angles=2, lam0=lam0))
+
+
 def test_run_quadratic_reports_spectral_slack():
     spectral = run_quadratic(small_quadratic()).summary["spectral"]
     assert 0.0 < spectral["sigma_lower_bound"] <= spectral["sigma_min"]
@@ -369,6 +388,15 @@ def test_cli_non_bool_config_flag_exits_one(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["tomo", "--config", str(cfg), "--out", str(out)]) == 1
     assert "config key 'with_oracle' must be bool" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_tomo_zero_lam0_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"image_size": 8, "num_angles": 2, "lam0": 0}))
+    out = tmp_path / "out"
+    assert cli_main(["tomo", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "lam0" in capsys.readouterr().err
     assert not out.exists()
 
 

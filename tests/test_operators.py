@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from mismatch_splitting import operators
 from mismatch_splitting.operators import (
-    DifferenceMap,
     FunctionOperator,
     InnerSystemSolver,
     MatrixOperator,
@@ -45,7 +44,7 @@ def test_composite_operator_adjoint_consistency(seed, m, n):
     a = random_matrix_op(seed, m, n)
     b = random_matrix_op(seed + 1, m, n)
     probe = np.random.default_rng(seed + 2)
-    for op in (DifferenceMap(a, b), VStackMap([a, b]), ScaledIdentity(n, -2.5),
+    for op in (a - b, VStackMap([a, b]), ScaledIdentity(n, -2.5),
                ZeroOperator(n, m)):
         assert adjoint_defect(op, probe) < 1e-10
 
@@ -65,8 +64,36 @@ def test_function_operator_wraps_callables():
     op = FunctionOperator(3, 2, lambda x: mat @ x, lambda y: mat.T @ y)
     x = np.array([1.0, -1.0, 2.0])
     assert np.allclose(op.apply(x), mat @ x)
-    assert op.matrix is None
-    assert np.allclose(op.as_array(), mat)
+    assert np.allclose(op.apply_adjoint(np.array([0.5, 2.0])), mat.T @ [0.5, 2.0])
+
+
+def test_pair_and_stack_refuse_a_matrix_free_map():
+    mat = np.arange(6.0).reshape(2, 3)
+    free = FunctionOperator(3, 2, lambda x: mat @ x, lambda y: mat.T @ y)
+    with pytest.raises(ValueError, match="matrix-free"):
+        MismatchPair(MatrixOperator(mat), free)
+    with pytest.raises(ValueError, match="matrix-free"):
+        MismatchPair(free, MatrixOperator(mat))
+    with pytest.raises(ValueError, match="matrix-free"):
+        VStackMap([MatrixOperator(mat), free])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_operator_difference_is_the_entrywise_matrix_difference(sparse):
+    a, b = random_matrix_op(6, 5, 7, sparse), random_matrix_op(7, 5, 7, sparse)
+    diff = a - b
+    assert isinstance(diff, MatrixOperator)
+    assert scipy.sparse.issparse(diff.matrix) == sparse
+    assert np.array_equal(diff.as_array(), a.as_array() - b.as_array())
+    with pytest.raises(ValueError, match="dimensions"):
+        a - random_matrix_op(8, 7, 5)
+
+
+@pytest.mark.parametrize("size", [8, 16, 32])
+def test_two_angle_projector_mismatch_is_rounding_level(size):
+    # at 0 and 90 degrees both projectors agree up to rounding
+    pair = build_projector_pair(ParallelGeometry(size, 2, size)).mismatch_pair()
+    assert 0.0 <= pair.mismatch_norm <= 1e-15
 
 
 def test_operator_norm_zero_operator_is_exactly_zero():
@@ -201,9 +228,9 @@ def test_sigma_min_of_singular_block_raises_naming_the_shifts():
 
 
 def test_sigma_min_iterative_path_needs_matrices(monkeypatch):
-    op = FunctionOperator(3, 3, lambda x: x, lambda y: y)
+    op = MatrixOperator(np.eye(3))
     monkeypatch.setattr("mismatch_splitting.operators.DENSE_DIM_LIMIT", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="DENSE_DIM_LIMIT"):
         estimate_sigma_min(MismatchPair(op, op), 1.0, 1.0)
 
 
@@ -287,40 +314,6 @@ def test_inner_system_sparse_pair_solves_on_dense_lu():
     assert np.linalg.norm(system @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
-def _matrix_free(mat):
-    return FunctionOperator(mat.shape[1], mat.shape[0], lambda x: mat @ x, lambda y: mat.T @ y)
-
-
-@pytest.mark.parametrize("m, n", [(20, 30), (30, 20)])
-def test_inner_system_matrix_free_pair_solves_on_dense_lu(m, n):
-    tau, mu_g, mu_f = 0.4, 0.1, 0.2
-    a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
-    rng = np.random.default_rng(5)
-    a_mat, v_mat = (rng.standard_normal((m, n)) / np.sqrt(n) for _ in range(2))
-    solver = InnerSystemSolver(MismatchPair(_matrix_free(a_mat), _matrix_free(v_mat)),
-                               tau, mu_g, mu_f)
-    assert solver.backend == "dense"
-    system = np.block([[a * np.eye(n), tau * v_mat.T], [-tau * a_mat, b * np.eye(m)]])
-    rhs = rng.standard_normal(n + m)
-    got = solver.solve(rhs[:n], rhs[n:])
-    assert np.linalg.norm(system @ np.concatenate(got) - rhs) <= 1e-10 * np.linalg.norm(rhs)
-    # materialising the maps reproduces the matrix-backed twin bit for bit
-    twin = InnerSystemSolver(MismatchPair(MatrixOperator(a_mat), MatrixOperator(v_mat)),
-                             tau, mu_g, mu_f)
-    assert solver.rcond == twin.rcond
-    for part, twin_part in zip(got, twin.solve(rhs[:n], rhs[n:])):
-        assert part.tobytes() == twin_part.tobytes()
-
-
-def test_inner_system_matrix_free_singular_pair_names_tau():
-    # A = I, V* = -I / tau^2: the Schur complement I + tau^2 A V* is exactly 0
-    d, tau = 5, 0.5
-    pair = MismatchPair(_matrix_free(np.eye(d)), _matrix_free(-np.eye(d) / tau**2))
-    # the materialised Schur complement is refused by dgecon, as for any other pair
-    with pytest.raises(SingularInnerSystemError, match="tau"):
-        InnerSystemSolver(pair, tau)
-
-
 @pytest.mark.parametrize("size", [8, 16])
 @pytest.mark.parametrize("matched", [False, True])
 def test_woodbury_inner_solve_matches_dense_schur_lu(size, matched):
@@ -345,9 +338,17 @@ def test_woodbury_inner_solve_matches_dense_schur_lu(size, matched):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def _woodbury_stacks(size):
-    """Mismatched pairs whose shared gradient is not the last block: first,
-    and between two non-shared blocks."""
+def _woodbury_pairs(size):
+    """Mismatched [Radon; gradient] tomography pairs, the one layout the
+    woodbury backend takes: a capacitance smaller than the image (4 angles)
+    and one larger (12 angles)."""
+    return [build_projector_pair(ParallelGeometry(size, angles, size)).mismatch_pair()
+            for angles in (4, 12)]
+
+
+def _other_stacks(size):
+    """Mismatched pairs whose shared gradient is not the last of two blocks:
+    first, and between two non-shared blocks."""
     proj = build_projector_pair(ParallelGeometry(size, 4, size))
     grad, n = proj.gradient, size * size
     rng = np.random.default_rng(size + 1)
@@ -361,32 +362,49 @@ def _woodbury_stacks(size):
     ]
 
 
-@pytest.mark.parametrize("order", [0, 1])
-def test_woodbury_solve_any_block_order_matches_dense_schur_lu(order):
-    pair = _woodbury_stacks(8)[order]
+def _check_both_block_equations(pair, solver, rng):
+    """solve matches the dense domain-side Schur LU to 1e-12 and satisfies
+    both block equations."""
     a_mat, v_mat = pair.forward.as_array(), pair.surrogate.as_array()
     n, m = pair.domain_dim, pair.codomain_dim
+    tau, a, b = solver.tau, solver.a, solver.b
+    lu = scipy.linalg.lu_factor(a * b * np.eye(n) + tau**2 * v_mat.T @ a_mat)
+    rx, ry = rng.standard_normal(n), rng.standard_normal(m)
+
+    v_ref = scipy.linalg.lu_solve(lu, b * rx - tau * v_mat.T @ ry)
+    w_ref = (ry + tau * a_mat @ v_ref) / b
+    v, w = solver.solve(rx, ry)
+    assert np.linalg.norm(v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
+    assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+    scale = np.linalg.norm(np.concatenate([rx, ry]))
+    assert np.linalg.norm(a * v + tau * v_mat.T @ w - rx) <= 1e-12 * scale
+    assert np.linalg.norm(-tau * a_mat @ v + b * w - ry) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_woodbury_solve_any_block_order_matches_dense_schur_lu(order):
+    # only [R; D] takes the woodbury backend; other block orders go dense
+    # (test_other_stacks_take_the_dense_backend)
+    pair = _woodbury_pairs(8)[order]
     rng = np.random.default_rng(order)
     for tau, mu_g, mu_f in ((0.05, 0.0, 0.0), (0.3, 0.5, 0.2), (1.5, 0.1, 0.6)):
         solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
         assert solver.backend == "woodbury"
-        a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
-        lu = scipy.linalg.lu_factor(a * b * np.eye(n) + tau**2 * v_mat.T @ a_mat)
-        rx, ry = rng.standard_normal(n), rng.standard_normal(m)
+        _check_both_block_equations(pair, solver, rng)
 
-        v_ref = scipy.linalg.lu_solve(lu, b * rx - tau * v_mat.T @ ry)
-        w_ref = (ry + tau * a_mat @ v_ref) / b
-        v, w = solver.solve(rx, ry)
-        assert np.linalg.norm(v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
-        assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
-        # both block equations
-        scale = np.linalg.norm(np.concatenate([rx, ry]))
-        assert np.linalg.norm(a * v + tau * v_mat.T @ w - rx) <= 1e-12 * scale
-        assert np.linalg.norm(-tau * a_mat @ v + b * w - ry) <= 1e-12 * scale
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_other_stacks_take_the_dense_backend(order):
+    pair = _other_stacks(8)[order]
+    rng = np.random.default_rng(order)
+    for tau, mu_g, mu_f in ((0.05, 0.0, 0.0), (0.3, 0.5, 0.2), (1.5, 0.1, 0.6)):
+        solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
+        assert solver.backend == "dense"
+        _check_both_block_equations(pair, solver, rng)
 
 
 def test_woodbury_solve_does_not_apply_the_non_shared_forward_blocks():
-    pair = _woodbury_stacks(8)[1]
+    pair = _woodbury_pairs(8)[0]
     solver = InnerSystemSolver(pair, 0.3, 0.1, 0.2)
     rng = np.random.default_rng(4)
     rx, ry = rng.standard_normal(pair.domain_dim), rng.standard_normal(pair.codomain_dim)
@@ -406,7 +424,7 @@ def test_woodbury_solve_does_not_apply_the_non_shared_forward_blocks():
 @pytest.mark.parametrize("transpose", [False, True])
 def test_woodbury_solve_does_not_apply_the_stacked_adjoint(transpose):
     # solve reads V* only through D^T; solve_transpose reads A* only through D^T
-    pair = _woodbury_stacks(8)[1]
+    pair = _woodbury_pairs(8)[0]
     solver = InnerSystemSolver(pair, 0.3, 0.1, 0.2)
     solve = solver.solve_transpose if transpose else solver.solve
     rng = np.random.default_rng(5)
@@ -508,7 +526,7 @@ def test_dense_solve_equals_lu_solve_on_its_factors_bitwise():
 @pytest.mark.parametrize("woodbury", [False, True])
 def test_inner_solve_rejects_non_finite_rhs(woodbury):
     if woodbury:
-        pair = _woodbury_stacks(8)[0]
+        pair = _woodbury_pairs(8)[0]
     else:
         pair = MismatchPair(random_matrix_op(14, 20, 30), random_matrix_op(15, 20, 30))
     solver = InnerSystemSolver(pair, 0.3)
@@ -545,7 +563,7 @@ def test_solve_transpose_dense_pair(m, n):
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_solve_transpose_woodbury_stacks(order):
-    pair = _woodbury_stacks(8)[order]
+    pair = _woodbury_pairs(8)[order]
     rng = np.random.default_rng(order)
     for tau, mu_g, mu_f in ((0.05, 0.0, 0.0), (0.3, 0.5, 0.2), (1.5, 0.1, 0.6)):
         solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
