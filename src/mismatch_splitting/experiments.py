@@ -293,6 +293,8 @@ def run_tomography(config=None):
     config = config or TomoConfig()
     if not config.lam0 > 0:
         raise ValueError(f"lam0 must be positive, got {config.lam0}")
+    if not 0.0 <= config.noise_rel < math.inf:
+        raise ValueError(f"noise_rel must be finite and non-negative, got {config.noise_rel}")
     num_bins = config.num_bins or config.image_size
     geom = tomo.ParallelGeometry(config.image_size, config.num_angles, num_bins)
     proj = tomo.build_projector_pair(geom)

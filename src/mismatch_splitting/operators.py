@@ -277,57 +277,39 @@ def dct_matrix(n):
     return mat
 
 
-def _dense_lu(mat):
-    """LAPACK LU of a square matrix and its 1-norm reciprocal condition
-    estimate (dgecon on the factors; 0.0 for an exactly zero pivot)."""
-    lu, piv, info = scipy.linalg.lapack.dgetrf(mat)
-    if info > 0:
-        return (lu, piv), 0.0
-    anorm = float(np.max(np.sum(np.abs(mat), axis=0)))
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm)
-    return (lu, piv), float(rcond)
-
-
-def _lu_solve(lu_piv, rhs, trans=0):
-    """LAPACK dgetrs on _dense_lu factors, which dgecon checked once (with the
-    transposed matrix when ``trans`` is 1); only the right-hand side is
-    checked for finiteness (ValueError)."""
-    x, info = scipy.linalg.lapack.dgetrs(*lu_piv, np.asarray_chkfinite(rhs, dtype=float), trans)
-    if info != 0:
-        raise ValueError(f"dgetrs: illegal value in argument {-info}")
-    return x
-
-
 class InnerSystemSolver:
     """Factored solver for the 2x2 block system [[a I, tau V*], [-tau A, b I]].
 
-    ``solve`` solves the system by Schur-complement elimination, with
-    a = 1 + tau*mu_g and b = 1 + tau*mu_f: the system of one PDDR iteration.
-    ``solve_transpose`` solves the transposed system on the same factors;
-    at tau = 1 the pair gives M^{-1} and M^{-T} of the shifted skew block
-    M = [[a I, V*], [-A, b I]] that estimate_sigma_min(pair, a, b) needs.
-    The Schur complement is factored once, on construction, by a backend
-    chosen from the structure of the pair (``backend``):
+    ``solve`` solves the system with a = 1 + tau*mu_g and b = 1 + tau*mu_f:
+    the system of one PDDR iteration.  ``solve_transpose`` solves the
+    transposed system on the same factors; at tau = 1 the pair gives M^{-1}
+    and M^{-T} of the shifted skew block M = [[a I, V*], [-A, b I]] that
+    estimate_sigma_min(pair, a, b) needs.
 
-    - ``"woodbury"``: forward and surrogate are the two-block VStackMaps
-      [R_A; D] and [R_V; D] of one shared block D exposing ``image_shape``
-      and ``dct_eigenvalues``, the spectrum of D^T D in the 2-D DCT-II basis
-      (tomo.NeumannGradient), as the tomography pair is; R_A and R_V are
-      read in place, matrices and CSR transposes.  The domain-side Schur
-      complement is B + tau^2 R_V^T R_A with B = ab I + tau^2 D^T D, which
-      the orthonormal 2-D DCT-II diagonalises; only the capacitance
-      C = I/tau^2 + R_A B^{-1} R_V^T, of R_A's row count, is formed 32 columns
-      at a time and factored.  With u = b r_x - tau D^T r_D, the solve is
-      t = C^{-1} (R_A B^{-1} u + r_R/tau), v = B^{-1} (u - R_V^T t), w_R =
-      t/(tau b), w_D = (r_D + tau D v)/b; the stacked V* is never applied.
-    - ``"dense"``: LAPACK LU of the Schur complement on the smaller side,
-      densified if sparse, and formed by scipy's dgemm if dense; every
-      other pair, gradient-first or longer stacks included.
+    Forward and surrogate are read as [R_A; D] and [R_V; D].  D is present
+    when both are two-block VStackMaps ending in one shared block exposing
+    ``image_shape`` and ``dct_eigenvalues``, the spectrum of D^T D in the 2-D
+    DCT-II basis (tomo.NeumannGradient), as the tomography pair is
+    (``backend`` "woodbury"); R_A and R_V are then read in place, matrices
+    and CSR transposes.  Otherwise D is absent and R is the whole map
+    (``backend`` "dense"); a tall pair (m > n) is then solved as the wide
+    system of its swap, unknowns (w, v), A' = -V^T, V' = -A^T, a and b
+    exchanged.  With B = ab I + tau^2 D^T D, which the orthonormal 2-D DCT-II
+    diagonalises (B = ab I without D), the one capacitance
+    C = I/tau^2 + R_A B^{-1} R_V^T, of R_A's row count, is formed F-ordered
+    and LU-factored in place on construction: 32 columns at a time with D;
+    without D it is the Schur complement of the smaller side, ab I + tau^2 A V*
+    (ab I + tau^2 V* A for a tall pair), divided by ab tau^2, formed by one
+    scipy dgemm for dense operands and one sparse product otherwise.  With
+    u = b r_x - tau D^T r_D, the solve is
+    t = C^{-1} (R_A B^{-1} u + r_R/tau), v = B^{-1} (u - R_V^T t),
+    w_R = t/(tau b), w_D = (r_D + tau D v)/b; the stacked V* is never applied.
 
-    The backend depends on structure alone, never on a size limit.  Every
-    inner solve is a direct LU, guarded by its dgecon estimate ``rcond``:
-    below RCOND_FLOOR the system is reported singular; ``solve`` calls dgetrs
-    on the factors directly.  ``factor_s`` is the factorisation wall time.
+    The backend depends on structure alone, never on a size limit.  The LU is
+    guarded by its dgecon estimate ``rcond``: below RCOND_FLOOR the system is
+    reported singular; each solve hands the factors to dgetrs (C^T's with
+    ``trans`` for solve_transpose).  ``factor_s`` is the factorisation wall
+    time.
     """
 
     def __init__(self, pair, tau, mu_g=0.0, mu_f=0.0):
@@ -339,51 +321,60 @@ class InnerSystemSolver:
         self.b = 1.0 + tau * mu_f  # dual diagonal
         if not (self.a > 0 and self.b > 0):
             raise ValueError("Schur elimination needs positive diagonals a and b")
-        n, m = pair.domain_dim, pair.codomain_dim
-        self.eliminate_primal = m <= n  # factor on the smaller side
-        self.rcond = None
         t0 = time.perf_counter()
         self._build()
         self.factor_s = time.perf_counter() - t0
 
-    def _schur_matrix(self):
-        """The dense Schur complement ab I + tau^2 A V* (V* A on the domain
-        side)."""
-        ma, mv = self.pair.forward.matrix, self.pair.surrogate.matrix
-        t2 = self.tau**2
-        ab_eye = self.a * self.b * np.eye(
-            self.pair.codomain_dim if self.eliminate_primal else self.pair.domain_dim)
-        if scipy.sparse.issparse(ma) or scipy.sparse.issparse(mv):
-            prod = ma @ mv.T if self.eliminate_primal else mv.T @ ma
-            return ab_eye + t2 * (prod.toarray() if scipy.sparse.issparse(prod) else prod)
-        # scipy's dgemm forms it on the OpenBLAS whose dgetrf factors it (a
-        # LAPACK call right after a numpy product waits on numpy's own BLAS
-        # threads); it has no symmetric-product shortcut, so V = A rounds as
-        # a copy of A does
-        if self.eliminate_primal:
-            return scipy.linalg.blas.dgemm(t2, ma.T, mv.T, 1.0, ab_eye, trans_a=True)
-        return scipy.linalg.blas.dgemm(t2, mv.T, ma.T, 1.0, ab_eye, trans_b=True)
-
     def _build(self):
-        shared = self._shared_dct_block()
-        if shared is not None:
-            self._build_woodbury(*shared)
-            return
-        self.backend = "dense"
-        self._lu, self.rcond = _dense_lu(self._schur_matrix())
-        self._check_rcond("Schur complement")
-
-    def _check_rcond(self, what):
+        self._grad, (fwd, sur) = (self._shared_dct_block()
+                                  or (None, (self.pair.forward, self.pair.surrogate)))
+        self.backend = "dense" if self._grad is None else "woodbury"
+        t2, ab = self.tau**2, self.a * self.b
+        r_a, r_v = fwd.matrix, sur.matrix
+        # a tall pair without D is solved as its swap (w, v), a wide pair with
+        # A' = -V^T, V' = -A^T and a, b exchanged; _solve folds the signs into tau
+        self._swap = self._grad is None and r_a.shape[0] > r_a.shape[1]
+        # (R_A, R_V^T) for solve, (R_V, R_A^T) for solve_transpose, up to sign
+        self._sides = (((sur._adjoint, r_a), (fwd._adjoint, r_v)) if self._swap
+                       else ((r_a, sur._adjoint), (r_v, fwd._adjoint)))
+        left, right = self._sides[0]
+        cap = np.eye(left.shape[0], order="F")
+        cap /= t2
+        if self._grad is not None:
+            rows, cols = self._grad.image_shape
+            self._dct = (dct_matrix(rows), dct_matrix(cols))
+            self._base_eig = ab + t2 * np.reshape(self._grad.dct_eigenvalues, (rows, cols))
+            for lo in range(0, cap.shape[0], _CAPACITANCE_BATCH):
+                block = r_v[lo:lo + _CAPACITANCE_BATCH]
+                block = block.toarray() if scipy.sparse.issparse(block) else np.asarray(block)
+                # rows of B^{-1} R_V^T (B is symmetric) -> columns of R_A B^{-1} R_V^T
+                cap[:, lo:lo + block.shape[0]] += r_a @ self._base_solve(block).T
+        elif scipy.sparse.issparse(left) or scipy.sparse.issparse(right):
+            prod = left @ right / ab
+            cap += prod.toarray() if scipy.sparse.issparse(prod) else prod
+        else:
+            # scipy's dgemm forms it on the OpenBLAS whose dgetrf factors it (a
+            # LAPACK call right after a numpy product waits on numpy's own BLAS
+            # threads); it has no symmetric-product shortcut, so V = A rounds as
+            # a copy of A does.  Each operand goes in as an F-ordered view.
+            (x, tx), (y, ty) = ((mat, False) if mat.flags.f_contiguous else (mat.T, True)
+                                for mat in (left, right))
+            cap = scipy.linalg.blas.dgemm(1.0 / ab, x, y, 1.0, cap,
+                                          trans_a=tx, trans_b=ty, overwrite_c=True)
+        anorm = scipy.linalg.lapack.dlange("1", cap)
+        lu, piv, info = scipy.linalg.lapack.dgetrf(cap, overwrite_a=True)
+        self._lu = (lu, piv)
+        self.rcond = 0.0 if info > 0 else float(scipy.linalg.lapack.dgecon(lu, anorm)[0])
         if not self.rcond >= RCOND_FLOOR:
             raise SingularInnerSystemError(
                 f"inner block system is singular to working precision: its "
-                f"{what} has reciprocal condition estimate {self.rcond:.3e} < "
+                f"capacitance has reciprocal condition estimate {self.rcond:.3e} < "
                 f"{RCOND_FLOOR:g} ({self.backend} backend); tau violates the "
                 "bound tau < 1/||A - V||"
             )
 
     def _shared_dct_block(self):
-        """(D, R_A, R_V) when forward and surrogate are the two-block stacks
+        """(D, (R_A, R_V)) when forward and surrogate are the two-block stacks
         [R_A; D] and [R_V; D] of one shared D exposing ``dct_eigenvalues``."""
         fwd, sur = self.pair.forward, self.pair.surrogate
         if not (isinstance(fwd, VStackMap) and isinstance(sur, VStackMap)):
@@ -393,69 +384,52 @@ class InnerSystemSolver:
         (r_a, grad), (r_v, grad_v) = fwd.blocks, sur.blocks
         if grad is not grad_v or not hasattr(grad, "dct_eigenvalues"):
             return None
-        return grad, r_a, r_v
-
-    def _build_woodbury(self, grad, r_a, r_v):
-        self.backend = "woodbury"
-        self.eliminate_primal = False
-        t2 = self.tau**2
-        rows, cols = grad.image_shape
-        self._dct = (dct_matrix(rows), dct_matrix(cols))
-        self._base_eig = self.a * self.b + t2 * np.reshape(grad.dct_eigenvalues, (rows, cols))
-        self._grad, self._r = grad, (r_a, r_v)
-        k = r_a.codomain_dim
-        cap = np.eye(k) / t2
-        for lo in range(0, k, _CAPACITANCE_BATCH):
-            block = r_v.matrix[lo:lo + _CAPACITANCE_BATCH]
-            block = block.toarray() if scipy.sparse.issparse(block) else np.asarray(block)
-            # rows of B^{-1} R_V^T (B is symmetric) -> columns of R_A B^{-1} R_V^T
-            cap[:, lo:lo + block.shape[0]] += r_a.matrix @ self._base_solve(block).T
-        self._lu, self.rcond = _dense_lu(cap)
-        self._check_rcond("Woodbury capacitance")
+        return grad, (r_a, r_v)
 
     def _base_solve(self, x):
-        """B^{-1} x along the last axis, B = ab I + tau^2 D^T D, by 2-D DCT."""
+        """B^{-1} x along the last axis, by 2-D DCT."""
         c_rows, c_cols = self._dct
         img = x.reshape(x.shape[:-1] + self._base_eig.shape)
         spec = c_rows @ img @ c_cols.T
         spec /= self._base_eig
         return (c_rows.T @ spec @ c_cols).reshape(x.shape)
 
-    def _woodbury_solve(self, rhs_x, rhs_y, tau, trans):
-        """Woodbury solve for ``_solve``, by R_A B^{-1} R_V^T = C - I/tau^2;
-        transposed, R_A and R_V swap and C^T is the capacitance (B = B^T)."""
-        r_a, r_v = self._r
-        left, right = (r_v.matrix, r_a._adjoint) if trans else (r_a.matrix, r_v._adjoint)
-        rhs_r, rhs_d = rhs_y[:r_a.codomain_dim], rhs_y[r_a.codomain_dim:]
-        u = self.b * rhs_x - tau * self._grad.apply_adjoint(rhs_d)
-        t = _lu_solve(self._lu, left @ self._base_solve(u) + rhs_r / tau, trans)
-        v = self._base_solve(u - right @ t)
-        w_d = (rhs_d + tau * self._grad.apply(v)) / self.b
-        return v, np.concatenate([t / (tau * self.b), w_d])
-
     def solve(self, rhs_x, rhs_y):
         """(v, w) with a v + tau V* w = rhs_x and -tau A v + b w = rhs_y."""
-        return self._solve(rhs_x, rhs_y, self.tau, self.pair.forward, self.pair.surrogate, 0)
+        return self._solve(rhs_x, rhs_y, self.tau, 0)
 
     def solve_transpose(self, rhs_x, rhs_y):
         """(v, w) with a v - tau A* w = rhs_x and tau V v + b w = rhs_y: the
-        system of ``solve`` with A, V swapped and tau negated, whose Schur
-        complement or capacitance is the transpose of the factored one."""
-        return self._solve(rhs_x, rhs_y, -self.tau, self.pair.surrogate, self.pair.forward, 1)
+        system of ``solve`` with A, V swapped and tau negated, whose
+        capacitance is C^T (B = B^T), the transpose of the factored one."""
+        return self._solve(rhs_x, rhs_y, -self.tau, 1)
 
-    def _solve(self, rhs_x, rhs_y, tau, fwd, sur, trans):
-        if self.backend == "woodbury":
-            return self._woodbury_solve(rhs_x, rhs_y, tau, trans)
-        a, b = self.a, self.b
-        if self.eliminate_primal:
-            rhs = a * rhs_y + tau * fwd.apply(rhs_x)
-            w = _lu_solve(self._lu, rhs, trans)
-            v = (rhs_x - tau * sur.apply_adjoint(w)) / a
+    def _solve(self, rhs_x, rhs_y, tau, trans):
+        """The Woodbury solve, by R_A B^{-1} R_V^T = C - I/tau^2; transposed,
+        R_A and R_V swap.  Without D, B^{-1} b = 1/a is applied to r_x once
+        and the D^T r_D and D v terms drop out."""
+        left, right = self._sides[trans]
+        a, b, grad = self.a, self.b, self._grad
+        if self._swap:
+            rhs_x, rhs_y, a, b, tau = rhs_y, rhs_x, b, a, -tau
+        k = left.shape[0]
+        rhs_r, rhs_d = rhs_y[:k], rhs_y[k:]
+        if grad is None:
+            rhs = left @ rhs_x / a + rhs_r / tau
         else:
-            rhs = b * rhs_x - tau * sur.apply_adjoint(rhs_y)
-            v = _lu_solve(self._lu, rhs, trans)
-            w = (rhs_y + tau * fwd.apply(v)) / b
-        return v, w
+            u = b * rhs_x - tau * grad.apply_adjoint(rhs_d)
+            rhs = left @ self._base_solve(u) + rhs_r / tau
+        # dgecon checked the factors once; only the right-hand side is checked
+        # for finiteness (ValueError)
+        t, info = scipy.linalg.lapack.dgetrs(*self._lu, np.asarray_chkfinite(rhs), trans)
+        if info != 0:
+            raise ValueError(f"dgetrs: illegal value in argument {-info}")
+        w = t / (tau * b)
+        if grad is None:
+            v = (rhs_x - right @ t / b) / a
+            return (w, v) if self._swap else (v, w)
+        v = self._base_solve(u - right @ t)
+        return v, np.concatenate([w, (rhs_d + tau * grad.apply(v)) / b])
 
 
 def load_operator_csv(path):

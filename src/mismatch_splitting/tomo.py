@@ -230,12 +230,15 @@ def build_projector_pair(geom):
 
 
 def make_sinogram(radon_op, image, noise_rel=0.0, rng=None):
-    """Project an image and add relative Gaussian noise scaled so that
-    ||noise|| ~ noise_rel * ||z||."""
+    """Project an image and add relative Gaussian noise, drawn from the seeded
+    generator ``rng``, scaled so that ||noise|| ~ noise_rel * ||z||.
+    ValueError for a negative or non-finite noise_rel, and for noise without rng."""
+    if not 0.0 <= noise_rel < np.inf:
+        raise ValueError(f"noise_rel must be finite and non-negative, got {noise_rel}")
     z = radon_op.apply(np.asarray(image, dtype=float).ravel())
     if noise_rel > 0.0:
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("noise needs a seeded rng; an unseeded one is refused")
         g = rng.standard_normal(z.size)
         z = z + noise_rel * np.linalg.norm(z) / np.sqrt(z.size) * g
     return z

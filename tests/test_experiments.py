@@ -192,6 +192,16 @@ def test_tomography_refuses_non_positive_lam0_before_assembly(monkeypatch, lam0)
         run_tomography(TomoConfig(image_size=8, num_angles=2, lam0=lam0))
 
 
+@pytest.mark.parametrize("noise_rel", [-1.0, float("nan"), float("inf")])
+def test_tomography_refuses_bad_noise_rel_before_assembly(monkeypatch, noise_rel):
+    def refuse(geom):
+        raise AssertionError("the projectors were assembled")
+
+    monkeypatch.setattr("mismatch_splitting.tomo.build_projector_pair", refuse)
+    with pytest.raises(ValueError, match="noise_rel"):
+        run_tomography(TomoConfig(image_size=8, num_angles=2, noise_rel=noise_rel))
+
+
 def test_run_quadratic_reports_spectral_slack():
     spectral = run_quadratic(small_quadratic()).summary["spectral"]
     assert 0.0 < spectral["sigma_lower_bound"] <= spectral["sigma_min"]
@@ -397,6 +407,15 @@ def test_cli_tomo_zero_lam0_exits_one(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["tomo", "--config", str(cfg), "--out", str(out)]) == 1
     assert "lam0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_tomo_negative_noise_rel_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"image_size": 8, "num_angles": 2, "noise_rel": -1}))
+    out = tmp_path / "out"
+    assert cli_main(["tomo", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "noise_rel" in capsys.readouterr().err
     assert not out.exists()
 
 

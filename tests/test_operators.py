@@ -514,13 +514,44 @@ def test_dense_solve_equals_lu_solve_on_its_factors_bitwise():
     a, b = 1.0 + tau * mu_g, 1.0 + tau * mu_f
     pair = MismatchPair(random_matrix_op(11, m, n), random_matrix_op(12, m, n))
     solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
-    assert solver.backend == "dense" and solver.eliminate_primal
+    assert solver.backend == "dense"
     rng = np.random.default_rng(13)
     rx, ry = rng.standard_normal(n), rng.standard_normal(m)
-    w_ref = scipy.linalg.lu_solve(solver._lu, a * ry + tau * pair.forward.apply(rx))
-    v_ref = (rx - tau * pair.surrogate.apply_adjoint(w_ref)) / a
+    # the Woodbury formula with B = ab I and no D terms
+    t = scipy.linalg.lu_solve(solver._lu, pair.forward.matrix @ rx / a + ry / tau)
+    v_ref = (rx - pair.surrogate.matrix.T @ t / b) / a
+    w_ref = t / (tau * b)
     v, w = solver.solve(rx, ry)
     assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(20, 30), (30, 20)])
+def test_dense_pairs_factor_the_smaller_side_capacitance(m, n):
+    # a tall pair is solved as its wide swap: C is min(m, n) square
+    pair = MismatchPair(random_matrix_op(m, m, n), random_matrix_op(n, m, n))
+    rng = np.random.default_rng(m + n)
+    k = min(m, n)
+    for tau, mu_g, mu_f in ((0.05, 0.0, 0.0), (0.1, 0.5, 0.2), (0.2, 0.1, 0.6)):
+        solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
+        assert solver.backend == "dense" and solver._lu[0].shape == (k, k)
+        _check_both_block_equations(pair, solver, rng)
+
+
+@pytest.mark.parametrize("m, n", [(200, 400), (400, 200)])
+def test_dense_build_holds_one_capacitance(m, n):
+    # C is formed and factored in place, its operands passed to dgemm
+    # uncopied: one k x k array, where forming it beside a copy for dgetrf and
+    # a temporary for its 1-norm took three
+    pair = MismatchPair(random_matrix_op(16, m, n), random_matrix_op(17, m, n))
+    k = min(m, n)
+    tracemalloc.start()
+    try:
+        solver = InnerSystemSolver(pair, 0.05, 0.1, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solver.backend == "dense" and solver._lu[0].shape == (k, k)
+    assert peak < 2.5 * k * k * 8
 
 
 @pytest.mark.parametrize("woodbury", [False, True])
@@ -557,7 +588,7 @@ def test_solve_transpose_dense_pair(m, n):
     pair = MismatchPair(MatrixOperator(a_mat), MatrixOperator(v_mat))
     for tau, mu_g, mu_f in ((0.05, 0.0, 0.0), (0.4, 0.1, 0.2), (1.5, 0.1, 0.6)):
         solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
-        assert solver.backend == "dense" and solver.eliminate_primal == (m <= n)
+        assert solver.backend == "dense"
         _check_transposed_solve(solver, rng)
 
 

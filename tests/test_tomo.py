@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mismatch_splitting.operators import FunctionOperator, dct_matrix
+from mismatch_splitting.operators import FunctionOperator, MatrixOperator, dct_matrix
 from mismatch_splitting.tomo import (
     NeumannGradient,
     ParallelGeometry,
@@ -147,8 +147,6 @@ def test_projector_blocks_share_the_gradient():
 def test_make_sinogram_noise_free_and_deterministic():
     geom = ParallelGeometry(16, 4, 16)
     radon = ray_driven_matrix(geom)
-    from mismatch_splitting.operators import MatrixOperator
-
     op = MatrixOperator(radon)
     img = shepp_logan_phantom(16)
     clean = make_sinogram(op, img, noise_rel=0.0)
@@ -158,3 +156,13 @@ def test_make_sinogram_noise_free_and_deterministic():
     assert np.array_equal(s1, s2)
     rel = np.linalg.norm(s1 - clean) / np.linalg.norm(clean)
     assert rel == pytest.approx(0.01, rel=0.3)
+
+
+def test_make_sinogram_refuses_bad_noise_and_unseeded_noise():
+    op = MatrixOperator(ray_driven_matrix(ParallelGeometry(8, 2, 8)))
+    img = shepp_logan_phantom(8)
+    for noise_rel in (-0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_rel"):
+            make_sinogram(op, img, noise_rel=noise_rel, rng=np.random.default_rng(3))
+    with pytest.raises(ValueError, match="seeded"):
+        make_sinogram(op, img, noise_rel=0.01)
