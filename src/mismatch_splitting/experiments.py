@@ -265,9 +265,12 @@ def huber_tv_prox(lam0, lam1, eps, z, sino_size, n_pixels):
     projection onto the l_{inf,2} ball of radius lam1, written out on the
     (2, n_pixels) layout.
     """
-    if lam1 < 0:
-        raise ValueError("radius lam1 must be nonnegative")
+    if not (0.0 < lam0 < math.inf and 0.0 <= lam1 < math.inf and 0.0 <= eps < math.inf):
+        raise ValueError(f"need finite lam0 > 0, lam1 >= 0, eps >= 0; got {lam0}, {lam1}, {eps}")
     z = np.asarray(z, dtype=float)
+    # lam1 / max(|g|, lam1) is lam1/|g| outside the ball and exactly 1 inside;
+    # the 1e-300 floor keeps 0/0 out of the all-zero scale of lam1 = 0
+    floor = max(lam1, 1e-300)
 
     def evaluate(dual, tau):
         out = np.empty(sino_size + 2 * n_pixels)
@@ -275,8 +278,11 @@ def huber_tv_prox(lam0, lam1, eps, z, sino_size, n_pixels):
         field = out[sino_size:].reshape(2, n_pixels)
         np.divide(dual[sino_size:].reshape(2, n_pixels), 1.0 + tau * eps, out=field)
         f0, f1 = field
-        norms = np.sqrt(f0 * f0 + f1 * f1)
-        field *= np.where(norms > lam1, lam1 / np.maximum(norms, 1e-300), 1.0)
+        scale = f0 * f0
+        scale += f1 * f1
+        np.sqrt(scale, out=scale)
+        np.divide(lam1, np.maximum(scale, floor, out=scale), out=scale)
+        field *= scale
         return out
 
     return ProxFn(evaluate, strong_convexity=min(1.0 / lam0, eps))

@@ -278,38 +278,19 @@ def dct_matrix(n):
 
 
 class InnerSystemSolver:
-    """Factored solver for the 2x2 block system [[a I, tau V*], [-tau A, b I]].
+    """Factored solver for the 2x2 block system [[a I, tau V*], [-tau A, b I]]
+    with a = 1 + tau*mu_g, b = 1 + tau*mu_f; README's "Inner block solver"
+    derives it.
 
-    ``solve`` solves the system with a = 1 + tau*mu_g and b = 1 + tau*mu_f:
-    the system of one PDDR iteration.  ``solve_transpose`` solves the
-    transposed system on the same factors; at tau = 1 the pair gives M^{-1}
-    and M^{-T} of the shifted skew block M = [[a I, V*], [-A, b I]] that
-    estimate_sigma_min(pair, a, b) needs.
-
-    Forward and surrogate are read as [R_A; D] and [R_V; D].  D is present
-    when both are two-block VStackMaps ending in one shared block exposing
-    ``image_shape`` and ``dct_eigenvalues``, the spectrum of D^T D in the 2-D
-    DCT-II basis (tomo.NeumannGradient), as the tomography pair is
-    (``backend`` "woodbury"); R_A and R_V are then read in place, matrices
-    and CSR transposes.  Otherwise D is absent and R is the whole map
-    (``backend`` "dense"); a tall pair (m > n) is then solved as the wide
-    system of its swap, unknowns (w, v), A' = -V^T, V' = -A^T, a and b
-    exchanged.  With B = ab I + tau^2 D^T D, which the orthonormal 2-D DCT-II
-    diagonalises (B = ab I without D), the one capacitance
-    C = I/tau^2 + R_A B^{-1} R_V^T, of R_A's row count, is formed F-ordered
-    and LU-factored in place on construction: 32 columns at a time with D;
-    without D it is the Schur complement of the smaller side, ab I + tau^2 A V*
-    (ab I + tau^2 V* A for a tall pair), divided by ab tau^2, formed by one
-    scipy dgemm for dense operands and one sparse product otherwise.  With
-    u = b r_x - tau D^T r_D, the solve is
-    t = C^{-1} (R_A B^{-1} u + r_R/tau), v = B^{-1} (u - R_V^T t),
-    w_R = t/(tau b), w_D = (r_D + tau D v)/b; the stacked V* is never applied.
-
-    The backend depends on structure alone, never on a size limit.  The LU is
-    guarded by its dgecon estimate ``rcond``: below RCOND_FLOOR the system is
-    reported singular; each solve hands the factors to dgetrs (C^T's with
-    ``trans`` for solve_transpose).  ``factor_s`` is the factorisation wall
-    time.
+    ``solve`` solves the system of one PDDR iteration, ``solve_transpose`` the
+    transposed one on the same factors.  ``backend`` is "woodbury" when
+    forward and surrogate are the stacks [R_A; D] and [R_V; D] of one shared
+    block exposing ``image_shape`` and ``dct_eigenvalues``
+    (tomo.NeumannGradient), and "dense" otherwise.  Construction LU-factors
+    one capacitance, in ``factor_s`` seconds of wall time; ``rcond`` is its
+    dgecon estimate, and below RCOND_FLOOR SingularInnerSystemError is
+    raised.  A non-positive tau, a or b, or a non-finite right-hand side
+    raises ValueError.
     """
 
     def __init__(self, pair, tau, mu_g=0.0, mu_f=0.0):
@@ -405,9 +386,10 @@ class InnerSystemSolver:
         return self._solve(rhs_x, rhs_y, -self.tau, 1)
 
     def _solve(self, rhs_x, rhs_y, tau, trans):
-        """The Woodbury solve, by R_A B^{-1} R_V^T = C - I/tau^2; transposed,
-        R_A and R_V swap.  Without D, B^{-1} b = 1/a is applied to r_x once
-        and the D^T r_D and D v terms drop out."""
+        """With u = b r_x - tau D^T r_D: t = C^{-1} (R_A B^{-1} u + r_R/tau),
+        v = B^{-1} (u - R_V^T t), w = (t/tau, r_D + tau D v)/b; transposed, R_A
+        and R_V swap, and without D its terms drop out.  u and w_D are formed
+        in place on the products' own arrays, rounding as written here."""
         left, right = self._sides[trans]
         a, b, grad = self.a, self.b, self._grad
         if self._swap:
@@ -417,10 +399,12 @@ class InnerSystemSolver:
         if grad is None:
             rhs = left @ rhs_x / a + rhs_r / tau
         else:
-            u = b * rhs_x - tau * grad.apply_adjoint(rhs_d)
-            rhs = left @ self._base_solve(u) + rhs_r / tau
-        # dgecon checked the factors once; only the right-hand side is checked
-        # for finiteness (ValueError)
+            u = grad.apply_adjoint(rhs_d)
+            u *= -tau
+            u += b * rhs_x
+            rhs = left @ self._base_solve(u)
+            rhs += rhs_r / tau
+        # dgecon checked the factors once; a non-finite right-hand side is refused
         t, info = scipy.linalg.lapack.dgetrs(*self._lu, np.asarray_chkfinite(rhs), trans)
         if info != 0:
             raise ValueError(f"dgetrs: illegal value in argument {-info}")
@@ -428,8 +412,13 @@ class InnerSystemSolver:
         if grad is None:
             v = (rhs_x - right @ t / b) / a
             return (w, v) if self._swap else (v, w)
-        v = self._base_solve(u - right @ t)
-        return v, np.concatenate([w, (rhs_d + tau * grad.apply(v)) / b])
+        u -= right @ t
+        v = self._base_solve(u)
+        w_d = grad.apply(v)
+        w_d *= tau
+        w_d += rhs_d
+        w_d /= b
+        return v, np.concatenate([w, w_d])
 
 
 def load_operator_csv(path):

@@ -194,6 +194,11 @@ class RunResult:
         return self._column("dist_to_ref")
 
 
+def _norm(d):
+    # np.linalg.norm of a 1-D float64 array, bit for bit, without its dispatch
+    return math.sqrt(d @ d)
+
+
 def run(problem, stepper, stopping, initial_state=None, x_ref=None,
         objective: Optional[Callable[[np.ndarray], float]] = None,
         extra_metrics=None):
@@ -217,7 +222,7 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
     t0 = time.perf_counter()
 
     def record(state, residual, final):
-        dist = float(np.linalg.norm(state.x - x_ref)) if x_ref is not None else None
+        dist = _norm(state.x - x_ref) if x_ref is not None else None
         obj = None
         if objective is not None and (final or state.k % OBJECTIVE_EVERY == 0):
             obj = float(objective(state.x))
@@ -234,10 +239,10 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
         state = stepper.step(state)
         result.state = state
         governing = stepper.governing(state)
-        residual = float(np.linalg.norm(governing - prev)) / stepper.residual_scale
+        residual = _norm(governing - prev) / stepper.residual_scale
         prev = governing
         # `not <=` also catches a NaN or infinite x, whose norm is NaN or inf
-        if not math.isfinite(residual) or not (np.linalg.norm(state.x) <= stopping.divergence_threshold):
+        if not math.isfinite(residual) or not (_norm(state.x) <= stopping.divergence_threshold):
             result.status = "diverged"
         elif residual <= stopping.fixed_point_tol:
             result.status = "converged"

@@ -134,16 +134,39 @@ def test_huber_tv_prox_matches_transposed_projection_bitwise():
     sino, n_pix, lam0, lam1, eps = 40, 64, 10.0, 0.8, 0.1
     rng = np.random.default_rng(11)
     z = rng.standard_normal(sino)
-    prox = huber_tv_prox(lam0, lam1, eps, z, sino, n_pix)
-    for tau in (1e-3, 0.05, 0.7, 3.0):
-        dual = rng.standard_normal(sino + 2 * n_pix)
+
+    def check(lam1, dual, tau):
         # the former composition: (n_pix, 2) field, project_linf2, concatenate
         q_new = (dual[:sino] - tau * z) / (1.0 + tau / lam0)
         field = (dual[sino:] / (1.0 + tau * eps)).reshape(2, n_pix).T
         ref = np.concatenate([q_new, project_linf2(field, lam1).T.ravel()])
-        lengths = np.linalg.norm(field, axis=1)
+        got = huber_tv_prox(lam0, lam1, eps, z, sino, n_pix)(dual, tau)
+        if lam1 == 0.0:  # the reference writes +0.0 where the prox keeps the sign
+            assert not got[sino:].any() and got[:sino].tobytes() == ref[:sino].tobytes()
+        else:
+            assert got.tobytes() == ref.tobytes()
+        return np.linalg.norm(field, axis=1)
+
+    for tau in (1e-3, 0.05, 0.7, 3.0):
+        dual = rng.standard_normal(sino + 2 * n_pix)
+        lengths = check(lam1, dual, tau)
         assert (lengths > lam1).any() and (lengths <= lam1).any()
-        assert prox(dual, tau).tobytes() == ref.tobytes()
+        check(float(lengths[0]), dual, tau)  # pixel 0 exactly on the ball
+        check(0.0, dual, tau)  # lam1 = 0: the gradient part is exactly zero
+        zero_field = np.concatenate([dual[:sino], np.zeros(2 * n_pix)])
+        assert not check(lam1, zero_field, tau).any()
+
+
+@pytest.mark.parametrize("lam0, lam1, eps", [
+    (0.0, 0.8, 0.1), (-1.0, 0.8, 0.1), (np.inf, 0.8, 0.1), (np.nan, 0.8, 0.1),
+    (10.0, np.inf, 0.1), (10.0, np.nan, 0.1),
+    (10.0, 0.8, -0.5), (10.0, 0.8, np.inf), (10.0, 0.8, np.nan),
+])
+def test_huber_tv_prox_refuses_invalid_moduli(lam0, lam1, eps):
+    # lam0 = 0 raised ZeroDivisionError; lam0 = -1 returned inf and eps = -0.5
+    # NaN; an infinite or NaN radius would give inf/inf scales
+    with pytest.raises(ValueError, match="lam0 > 0"):
+        huber_tv_prox(lam0, lam1, eps, np.zeros(4), 4, 8)
 
 
 def test_tomography_reports_empirical_rate():
