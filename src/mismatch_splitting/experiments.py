@@ -193,7 +193,7 @@ def run_counterexample(dim=10, alpha_mm=0.01, tau=0.1, theta=1.0, seed=7,
     report.summary = {
         "iterations": result.iterations,
         "final_primal_norm": float(np.linalg.norm(result.state.x)),
-        "final_governing_norm": float(np.linalg.norm(np.concatenate([result.state.p, result.state.q]))),
+        "final_governing_norm": float(np.linalg.norm(result.state.z)),
         "primal_norm_growth_slope": slope,
         "mismatch_norm": pair.mismatch_norm,
     }

@@ -6,6 +6,7 @@ the surrogate adjoint.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -36,16 +37,12 @@ class SaddleProblem:
 
 @dataclass
 class SolverState:
+    """After ``k`` steps: the governing vector ``z`` and the last readout ``(x, y)``."""
+
+    z: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
     k: int = 0
-
-    def copy(self):
-        return SolverState(*(a.copy() for a in (self.x, self.y, self.v, self.w, self.p, self.q)), self.k)
 
 
 @dataclass
@@ -55,24 +52,25 @@ class StoppingRule:
     divergence_threshold: float = 1e12
 
     def __post_init__(self):
-        if self.max_iters < 0 or self.fixed_point_tol <= 0 or self.divergence_threshold <= 0:
-            raise ValueError("stopping rule fields must be positive")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        for name in ("fixed_point_tol", "divergence_threshold"):
+            if not getattr(self, name) > 0:  # also refuses NaN; +inf stays allowed
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 def zero_state(problem):
     n, m = problem.primal_dim, problem.dual_dim
-    z = lambda d: np.zeros(d)
-    return SolverState(z(n), z(m), z(n), z(m), z(n), z(m))
+    return SolverState(np.zeros(n + m), np.zeros(n), np.zeros(m))
 
 
 def gaussian_state(problem, seed=42):
+    """Standard normal x, y and z = (p, q), drawn in the order x, y, p, q."""
     rng = np.random.default_rng(seed)
     n, m = problem.primal_dim, problem.dual_dim
-    x = rng.standard_normal(n)
-    y = rng.standard_normal(m)
-    p = rng.standard_normal(n)
-    q = rng.standard_normal(m)
-    return SolverState(x, y, x.copy(), y.copy(), p, q)
+    x, y, z = (rng.standard_normal(d) for d in (n, m, n + m))
+    return SolverState(z, x, y)
 
 
 class PDDRStepper:
@@ -84,8 +82,10 @@ class PDDRStepper:
     """
 
     def __init__(self, problem, tau, theta, mode="mismatched", mu_g=0.0, mu_f=0.0):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau must be positive and finite, got {tau!r}")
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
         if mode == "matched":
             if not (0.0 < theta < 2.0):
                 raise ValueError("matched mode requires theta in (0, 2)")
@@ -119,48 +119,49 @@ class PDDRStepper:
         self.mode = mode
         self.mu_g = float(mu_g)
         self.mu_f = float(mu_f)
+        self.residual_scale = abs(self.theta)
         self._prox_g = problem.prox_g if mu_g == 0.0 else prox_convex_shifted(problem.prox_g, mu_g)
         self._prox_f = problem.prox_fstar if mu_f == 0.0 else prox_convex_shifted(problem.prox_fstar, mu_f)
         self.inner_solver = InnerSystemSolver(pair, tau, mu_g, mu_f)
 
-    @property
-    def residual_scale(self):
-        return abs(self.theta)
-
-    def governing(self, state):
-        return np.concatenate([state.p, state.q])
-
-    def step(self, state):
-        tau, theta = self.tau, self.theta
-        x = self._prox_g(state.p, tau)
-        y = self._prox_f(state.q, tau)
-        v, w = self.inner_solver.solve(2.0 * x - state.p, 2.0 * y - state.q)
-        p = state.p + theta * (v - x)
-        q = state.q + theta * (w - y)
-        return SolverState(x, y, v, w, p, q, state.k + 1)
+    def step(self, z):
+        """The governing map z = (p, q) -> (z_next, x, y), z unmodified:
+        z_next = z + theta ((v, w) - (x, y)), (v, w) the inner solve."""
+        n, tau = self.problem.primal_dim, self.tau
+        p, q = z[:n], z[n:]
+        x = self._prox_g(p, tau)
+        y = self._prox_f(q, tau)
+        v, w = self.inner_solver.solve(2.0 * x - p, 2.0 * y - q)
+        # rounds as p + theta (v - x) and q + theta (w - y)
+        z_next = np.empty_like(z)
+        np.subtract(v, x, out=z_next[:n])
+        np.subtract(w, y, out=z_next[n:])
+        z_next *= self.theta
+        z_next += z
+        return z_next, x, y
 
 
 class CPStepper:
     """Chambolle-Pock / PDHG with the surrogate adjoint substituted for A^T."""
 
     def __init__(self, problem, tau_p, sigma_d):
-        if tau_p <= 0 or sigma_d <= 0:
-            raise ValueError("step sizes must be positive")
+        for name, value in (("tau_p", tau_p), ("sigma_d", sigma_d)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         self.problem = problem
         self.tau_p = float(tau_p)
         self.sigma_d = float(sigma_d)
 
     residual_scale = 1.0
 
-    def governing(self, state):
-        return np.concatenate([state.x, state.y])
-
-    def step(self, state):
-        prob = self.problem
-        x_new = prob.prox_g(state.x - self.tau_p * prob.pair.surrogate.apply_adjoint(state.y), self.tau_p)
-        x_bar = x_new + (x_new - state.x)
-        y_new = prob.prox_fstar(state.y + self.sigma_d * prob.pair.forward.apply(x_bar), self.sigma_d)
-        return SolverState(x_new, y_new, x_new, y_new, x_new, y_new, state.k + 1)
+    def step(self, z):
+        """z = (x, y) -> (z_next, x_next, y_next), z unmodified."""
+        prob, n = self.problem, self.problem.primal_dim
+        x, y = z[:n], z[n:]
+        x_new = prob.prox_g(x - self.tau_p * prob.pair.surrogate.apply_adjoint(y), self.tau_p)
+        x_bar = x_new + (x_new - x)
+        y_new = prob.prox_fstar(y + self.sigma_d * prob.pair.forward.apply(x_bar), self.sigma_d)
+        return np.concatenate([x_new, y_new]), x_new, y_new
 
 
 # One row per iteration.  ``objective`` is filled on every OBJECTIVE_EVERY-th
@@ -207,15 +208,18 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
     or a non-finite residual, which catches non-finite governing or dual
     iterates), or max_iters is reached.
 
-    The residual is ||(p,q)^{k+1} - (p,q)^k|| / theta for PDDR-type steppers,
-    which equals the fixed-point defect ||(v,w) - (x,y)||.  Each iteration
-    appends one row of TRACE_COLUMNS to ``result.trace``; experiments.emit_report
-    writes the rows out as CSV.  ``objective`` is evaluated at the primal
-    iterate on rows with ``k % OBJECTIVE_EVERY == 0`` and on the final row,
-    whatever the status, and is None elsewhere: no caller reads it per row.
-    The distance, residual, stamp and extras are on every row.
+    A stepper maps one vector, ``step(z) -> (z_next, x, y)``, and modifies
+    no input, nor does ``run`` modify ``initial_state``; ``z = (p, q)`` for
+    PDDR and ``(x, y)`` for CP.  The residual is ||z_{k+1} - z_k|| /
+    residual_scale: for PDDR (|theta|) the fixed-point defect ||(v,w) - (x,y)||
+    at z_k.  Each iteration appends one row of TRACE_COLUMNS to
+    ``result.trace``; experiments.emit_report writes the rows out as CSV.
+    ``objective`` is evaluated at the primal iterate on rows with
+    ``k % OBJECTIVE_EVERY == 0`` and on the final row, whatever the status,
+    and is None elsewhere: no caller reads it per row.  The distance,
+    residual, stamp and extras are on every row.
     """
-    state = initial_state.copy() if initial_state is not None else zero_state(problem)
+    state = initial_state if initial_state is not None else zero_state(problem)
     result = RunResult(status="max_iters", state=state)
     if extra_metrics:
         result.extras = {name: [] for name in extra_metrics}
@@ -226,23 +230,18 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
         obj = None
         if objective is not None and (final or state.k % OBJECTIVE_EVERY == 0):
             obj = float(objective(state.x))
-        ms = (time.perf_counter() - t0) * 1e3
-        row = (state.k, dist, obj, residual, ms)
-        result.trace.append(row)
+        result.trace.append((state.k, dist, obj, residual, (time.perf_counter() - t0) * 1e3))
         if extra_metrics:
             for name, fn in extra_metrics.items():
                 result.extras[name].append(float(fn(state)))
 
     record(state, None, stopping.max_iters == 0)
-    prev = stepper.governing(state)
     for i in range(stopping.max_iters):
-        state = stepper.step(state)
-        result.state = state
-        governing = stepper.governing(state)
-        residual = _norm(governing - prev) / stepper.residual_scale
-        prev = governing
+        z, x, y = stepper.step(state.z)
+        residual = _norm(z - state.z) / stepper.residual_scale
+        state = result.state = SolverState(z, x, y, state.k + 1)
         # `not <=` also catches a NaN or infinite x, whose norm is NaN or inf
-        if not math.isfinite(residual) or not (_norm(state.x) <= stopping.divergence_threshold):
+        if not math.isfinite(residual) or not (_norm(x) <= stopping.divergence_threshold):
             result.status = "diverged"
         elif residual <= stopping.fixed_point_tol:
             result.status = "converged"

@@ -53,30 +53,27 @@ def inner_solve(solver, rhs_x, rhs_y, transpose=False):
     return v, np.concatenate([w, (rhs_d + tau * grad.apply(v)) / b])
 
 
-def pddr_step(stepper, state, prox_g, prox_f):
+def pddr_step(stepper, z, prox_g, prox_f):
     """``stepper.step`` with the given (shifted) proxes."""
-    tau, theta = stepper.tau, stepper.theta
-    x = prox_g(state.p, tau)
-    y = prox_f(state.q, tau)
-    v, w = inner_solve(stepper.inner_solver, 2.0 * x - state.p, 2.0 * y - state.q)
-    p = state.p + theta * (v - x)
-    q = state.q + theta * (w - y)
-    return SolverState(x, y, v, w, p, q, state.k + 1)
+    tau, theta, n = stepper.tau, stepper.theta, stepper.problem.primal_dim
+    p, q = z[:n], z[n:]
+    x = prox_g(p, tau)
+    y = prox_f(q, tau)
+    v, w = inner_solve(stepper.inner_solver, 2.0 * x - p, 2.0 * y - q)
+    return np.concatenate([p + theta * (v - x), q + theta * (w - y)]), x, y
 
 
 def run_rows(stepper, step, state, stopping, x_ref):
     """The (iter, dist_to_ref, residual) rows of ``solvers.run`` without an
     objective, and the last state, with ``np.linalg.norm`` for every norm."""
     rows = [(state.k, float(np.linalg.norm(state.x - x_ref)), None)]
-    prev = stepper.governing(state)
     for _ in range(stopping.max_iters):
-        state = step(state)
-        governing = stepper.governing(state)
-        residual = float(np.linalg.norm(governing - prev)) / stepper.residual_scale
-        prev = governing
-        rows.append((state.k, float(np.linalg.norm(state.x - x_ref)), residual))
+        z, x, y = step(state.z)
+        residual = float(np.linalg.norm(z - state.z)) / stepper.residual_scale
+        state = SolverState(z, x, y, state.k + 1)
+        rows.append((state.k, float(np.linalg.norm(x - x_ref)), residual))
         if (not math.isfinite(residual)
-                or not np.linalg.norm(state.x) <= stopping.divergence_threshold
+                or not np.linalg.norm(x) <= stopping.divergence_threshold
                 or residual <= stopping.fixed_point_tol):
             break
     return rows, state

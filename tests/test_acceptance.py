@@ -77,14 +77,16 @@ def tomo_report():
     return report, time.perf_counter() - t0
 
 
-def _governing_path(stepper, state, n_steps):
-    """Stack (p, q) of ``state`` and of the ``n_steps`` states after it."""
-    ps, qs = [state.p], [state.q]
+def _governing_path(stepper, z, n_steps):
+    """The last primal readout, and the stacked p and q parts of ``z`` and
+    of the ``n_steps`` governing vectors after it."""
+    zs, x = [z], None
     for _ in range(n_steps):
-        state = stepper.step(state)
-        ps.append(state.p)
-        qs.append(state.q)
-    return state, np.array(ps), np.array(qs)
+        z, x, _ = stepper.step(z)
+        zs.append(z)
+    n = stepper.problem.primal_dim
+    zs = np.array(zs)
+    return x, zs[:, :n], zs[:, n:]
 
 
 def test_counterexample_divergence_speed():
@@ -101,8 +103,8 @@ def test_counterexample_divergence_speed():
 
     # saturated phase: replay the run from its start and record (p, q)
     state0 = solvers.gaussian_state(problem, seed=seed)
-    final, p, q = _governing_path(stepper, state0, max_iters)
-    same_run = np.linalg.norm(final.x) == report.summary["final_primal_norm"]
+    final_x, p, q = _governing_path(stepper, state0.z, max_iters)
+    same_run = np.linalg.norm(final_x) == report.summary["final_primal_norm"]
     unsaturated = np.flatnonzero(~np.all(np.abs(q) > 1.0, axis=1))
     k0 = int(unsaturated[-1]) + 1 if unsaturated.size else 0
     signs = np.sign(q[k0:])
@@ -113,10 +115,7 @@ def test_counterexample_divergence_speed():
         initial=0.0))
 
     # unsaturated phase: a tiny start keeps the dual inside the box
-    tiny = solvers.SolverState(
-        *(1e-8 * a for a in (state0.x, state0.y, state0.v, state0.w,
-                             state0.p, state0.q)))
-    _, p_in, q_in = _governing_path(stepper, tiny, 1000)
+    _, p_in, q_in = _governing_path(stepper, 1e-8 * state0.z, 1000)
     max_q_in = float(np.max(np.abs(q_in)))
     norms = np.linalg.norm(np.hstack([p_in, q_in]), axis=1)
     rho = 1.0 / (1.0 - tau * math.sqrt(alpha_mm))
@@ -253,16 +252,15 @@ def test_lifted_equivalence():
         for alpha in (0.0, 1.0, 3.0):
             theta = lam / (1.0 + alpha)
             stepper = solvers.PDDRStepper(problem, tau, theta)
-            state = solvers.gaussian_state(problem, seed=seed)
+            z = solvers.gaussian_state(problem, seed=seed).z
             lifted = LiftedState(
-                w_lift=(1.0 + alpha) * np.concatenate([state.p, state.q]),
+                w_lift=(1.0 + alpha) * z,
                 alpha=alpha, gamma=(1.0 + alpha) * tau, lam=lam)
             for _ in range(100):
-                state = stepper.step(state)
+                z = stepper.step(z)[0]
                 lifted = step_lifted_ppp(problem, lifted, tau)
             reduced = lifted.w_lift / (1.0 + alpha)
-            gap = np.linalg.norm(
-                reduced - np.concatenate([state.p, state.q]))
+            gap = np.linalg.norm(reduced - z)
             worst = max(worst, float(gap))
     _check("lifted proximal-point iteration reproduces the splitting "
            "trajectories on 10 instances, alpha in {0, 1, 3}",
@@ -278,17 +276,18 @@ def test_matched_mode_exactness():
     problem = solvers.SaddleProblem(
         prox_scaled_quadratic(0.3),
         prox_scaled_quadratic(1.0, shift=z), pair)
-    s1 = solvers.gaussian_state(problem, seed=1)
-    s2 = s1.copy()
+    z1 = z2 = solvers.gaussian_state(problem, seed=1).z
     st_m = solvers.PDDRStepper(problem, 0.25, 0.6, mode="matched")
     st_mm = solvers.PDDRStepper(problem, 0.25, 0.6, mode="mismatched")
     bitwise = True
     for _ in range(50):
-        s1 = st_m.step(s1)
-        s2 = st_mm.step(s2)
-        bitwise = bitwise and all(
-            np.array_equal(getattr(s1, f), getattr(s2, f))
-            for f in ("x", "y", "v", "w", "p", "q"))
+        # (v, w) of each step: the inner solve again at its readout
+        out1 = st_m.step(z1)
+        out1 += st_m.inner_solver.solve(2.0 * out1[1] - z1[:n], 2.0 * out1[2] - z1[n:])
+        out2 = st_mm.step(z2)
+        out2 += st_mm.inner_solver.solve(2.0 * out2[1] - z2[:n], 2.0 * out2[2] - z2[n:])
+        z1, z2 = out1[0], out2[0]
+        bitwise = bitwise and all(np.array_equal(a, b) for a, b in zip(out1, out2))
     result = solvers.run(problem, st_m, solvers.StoppingRule(20000, 1e-13))
     x_star = np.linalg.solve(0.3 * np.eye(n) + a.T @ a, a.T @ z)
     gap = float(np.linalg.norm(result.state.x - x_star))

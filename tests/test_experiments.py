@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 
@@ -439,6 +440,23 @@ def test_cli_tomo_negative_noise_rel_exits_one(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["tomo", "--config", str(cfg), "--out", str(out)]) == 1
     assert "noise_rel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("quadratic", {"fixed_point_tol": math.nan, "n": 40, "m": 20, "max_iters": 300},
+     "fixed_point_tol"),
+    ("counterexample", {"divergence_threshold": math.nan, "max_iters": 300},
+     "divergence_threshold"),
+    ("counterexample", {"theta": math.nan, "max_iters": 300}, "theta"),
+    ("counterexample", {"max_iters": 2.5}, "max_iters"),
+])
+def test_cli_nan_or_fractional_run_setting_exits_one(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))  # NaN, which Python's json reads back
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,8 @@
 """The in-place hot path of an iteration.  The steppers, the inner solves,
 the Huber-TV prox and ``solvers.run`` round bit for bit as the plain
 formulas of step_reference.py, and leave every array handed to them, or
-returned by an earlier step, unchanged."""
+returned by an earlier step, unchanged.  A run's residual is the PDDR
+fixed-point defect."""
 
 import functools
 
@@ -68,15 +69,11 @@ def reference_step(kind, stepper):
     ref_f = problem_and_plan(kind)[2]
     if stepper.mu_f > 0:
         ref_f = prox_convex_shifted(ref_f, stepper.mu_f)
-    return lambda state: step_reference.pddr_step(stepper, state, stepper._prox_g, ref_f)
+    return lambda z: step_reference.pddr_step(stepper, z, stepper._prox_g, ref_f)
 
 
-def arrays(state):
-    return (state.x, state.y, state.v, state.w, state.p, state.q)
-
-
-def snapshot(state):
-    return [a.tobytes() for a in arrays(state)]
+def snapshot(arrays):
+    return [a.tobytes() for a in arrays]
 
 
 @pytest.mark.parametrize("kind", PAIRS)
@@ -85,10 +82,11 @@ def test_steps_match_the_plain_formulas_bitwise(kind, mode):
     stepper = stepper_for(kind, mode)
     assert stepper.inner_solver.backend == ("woodbury" if kind == "tomo" else "dense")
     ref_step = reference_step(kind, stepper)
-    state = ref = gaussian_state(stepper.problem, seed=5)
+    z = z_ref = gaussian_state(stepper.problem, seed=5).z
     for _ in range(25):
-        state, ref = stepper.step(state), ref_step(ref)
-        assert snapshot(state) == snapshot(ref) and state.k == ref.k
+        out, ref = stepper.step(z), ref_step(z_ref)
+        assert snapshot(out) == snapshot(ref)
+        z, z_ref = out[0], ref[0]
 
 
 @pytest.mark.parametrize("kind", PAIRS)
@@ -105,22 +103,46 @@ def test_run_trace_matches_the_plain_loop_bitwise(kind, mode):
     assert len(got) == len(rows) > 1
     as_bytes = lambda table: np.array(table, dtype=float).tobytes()  # None -> nan
     assert as_bytes(got) == as_bytes(rows)
-    assert snapshot(result.state) == snapshot(last)
+    assert snapshot((result.state.z, result.state.x, result.state.y)) == \
+        snapshot((last.z, last.x, last.y))
+    assert result.state.k == last.k
+
+
+@pytest.mark.parametrize("kind", PAIRS)
+@pytest.mark.parametrize("mode", MODES)
+def test_residual_is_the_fixed_point_defect(kind, mode):
+    """Each residual ||z_{k+1} - z_k|| / |theta| of a run equals the defect
+    ||(v, w) - (x, y)|| at z_k, from one inner solve at z_k."""
+    stepper = stepper_for(kind, mode)
+    n = stepper.problem.primal_dim
+
+    def defect(state):
+        p, q = state.z[:n], state.z[n:]
+        x, y = stepper._prox_g(p, stepper.tau), stepper._prox_f(q, stepper.tau)
+        v, w = stepper.inner_solver.solve(2.0 * x - p, 2.0 * y - q)
+        return np.linalg.norm(np.concatenate([v - x, w - y]))
+
+    result = run(stepper.problem, stepper, StoppingRule(30, fixed_point_tol=1e-6),
+                 initial_state=gaussian_state(stepper.problem, seed=12),
+                 extra_metrics={"defect": defect})
+    residuals = result.residuals
+    assert len(residuals) == 30
+    assert np.allclose(residuals, result.extras["defect"][:-1], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", PAIRS)
 @pytest.mark.parametrize("mode", MODES + ("cp",))
 def test_steps_leave_their_input_and_earlier_outputs_unchanged(kind, mode):
     stepper = stepper_for(kind, mode)
-    first = gaussian_state(stepper.problem, seed=8)
-    before = snapshot(first)
-    second = stepper.step(first)
-    assert snapshot(first) == before
+    z = gaussian_state(stepper.problem, seed=8).z
+    before = z.tobytes()
+    second = stepper.step(z)
+    assert z.tobytes() == before
     after_first = snapshot(second)
-    third = stepper.step(second)
-    assert snapshot(second) == after_first and snapshot(first) == before
-    for a in arrays(third):
-        assert not any(np.shares_memory(a, b) for b in arrays(second) + arrays(first))
+    third = stepper.step(second[0])
+    assert snapshot(second) == after_first and z.tobytes() == before
+    for a in third:
+        assert not any(np.shares_memory(a, b) for b in second + (z,))
 
 
 @pytest.mark.parametrize("kind", PAIRS)

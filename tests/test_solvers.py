@@ -14,7 +14,6 @@ from mismatch_splitting.solvers import (
     CPStepper,
     PDDRStepper,
     SaddleProblem,
-    SolverState,
     StoppingRule,
     gaussian_state,
     run,
@@ -58,25 +57,22 @@ def test_stationarity_all_steppers():
     plain = PDDRStepper(problem, tau, 0.5)
     p_hat = x_hat * (1 + tau)
     q_hat = y_hat * (1 + tau) + 3 * tau
-    state = SolverState(*(np.array([s]) for s in
-                          (x_hat, y_hat, x_hat, y_hat, p_hat, q_hat)))
-    new = plain.step(state)
-    assert abs(new.p[0] - p_hat) <= 1e-12 and abs(new.q[0] - q_hat) <= 1e-12
+    z, x, y = plain.step(np.array([p_hat, q_hat]))
+    assert abs(z[0] - p_hat) <= 1e-12 and abs(z[1] - q_hat) <= 1e-12
+    assert abs(x[0] - x_hat) <= 1e-12 and abs(y[0] - y_hat) <= 1e-12
 
     mu = 0.75  # mu_g * mu_f = 0.5625 = ||A-V||^2 / 4
     adapted = PDDRStepper(problem, tau, 0.5, mu_g=mu, mu_f=mu)
     p_hat_a = x_hat * (1 + tau * (1 - mu))
     q_hat_a = y_hat * (1 + tau * (1 - mu)) + 3 * tau
-    state_a = SolverState(*(np.array([s]) for s in
-                            (x_hat, y_hat, x_hat, y_hat, p_hat_a, q_hat_a)))
-    new_a = adapted.step(state_a)
-    assert abs(new_a.p[0] - p_hat_a) <= 1e-12 and abs(new_a.q[0] - q_hat_a) <= 1e-12
+    z_a, x_a, y_a = adapted.step(np.array([p_hat_a, q_hat_a]))
+    assert abs(z_a[0] - p_hat_a) <= 1e-12 and abs(z_a[1] - q_hat_a) <= 1e-12
+    assert abs(x_a[0] - x_hat) <= 1e-12 and abs(y_a[0] - y_hat) <= 1e-12
 
     cp = CPStepper(problem, 0.3, 0.3)
-    state_c = SolverState(*(np.array([s]) for s in
-                            (x_hat, y_hat, x_hat, y_hat, x_hat, y_hat)))
-    new_c = cp.step(state_c)
-    assert abs(new_c.x[0] - x_hat) <= 1e-12 and abs(new_c.y[0] - y_hat) <= 1e-12
+    z_c, x_c, y_c = cp.step(np.array([x_hat, y_hat]))
+    assert abs(x_c[0] - x_hat) <= 1e-12 and abs(y_c[0] - y_hat) <= 1e-12
+    assert np.array_equal(z_c, np.concatenate([x_c, y_c]))
 
 
 def test_scalar_fixed_point_recovered():
@@ -87,18 +83,25 @@ def test_scalar_fixed_point_recovered():
     assert abs(result.state.y[0] + 6.0) <= 1e-8
 
 
+def inner_readout(stepper, z):
+    """The inner solve's (v, w) of ``stepper.step(z)``, solved again."""
+    n = stepper.problem.primal_dim
+    _, x, y = stepper.step(z)
+    return stepper.inner_solver.solve(2.0 * x - z[:n], 2.0 * y - z[n:])
+
+
 def test_matched_mode_is_bitwise_identical():
     problem, a, _, z = quadratic_problem(3, eta=0.0)
     # surrogate equals forward, so matched and mismatched modes must agree
     matched = PDDRStepper(problem, 0.2, 0.6, mode="matched")
     mismatched = PDDRStepper(problem, 0.2, 0.6, mode="mismatched")
-    s1 = gaussian_state(problem, seed=9)
-    s2 = s1.copy()
+    z1 = z2 = gaussian_state(problem, seed=9).z
     for _ in range(50):
-        s1 = matched.step(s1)
-        s2 = mismatched.step(s2)
-    for f in ("x", "y", "v", "w", "p", "q"):
-        assert np.array_equal(getattr(s1, f), getattr(s2, f))
+        s1 = matched.step(z1) + inner_readout(matched, z1)
+        s2 = mismatched.step(z2) + inner_readout(mismatched, z2)
+        z1, z2 = s1[0], s2[0]
+    for a, b in zip(s1, s2):
+        assert np.array_equal(a, b)
 
 
 def test_matched_run_reaches_normal_equation_solution():
@@ -133,20 +136,20 @@ def test_lifted_equivalence(alpha_lift):
     tau, lam = 0.2, 1.0
     theta = lam / (1.0 + alpha_lift)
     pddr = PDDRStepper(problem, tau, theta)
-    state = gaussian_state(problem, seed=11)
+    z = gaussian_state(problem, seed=11).z
     lifted = LiftedState(
-        w_lift=(1.0 + alpha_lift) * np.concatenate([state.p, state.q]),
+        w_lift=(1.0 + alpha_lift) * z,
         alpha=alpha_lift,
         gamma=(1.0 + alpha_lift) * tau,
         lam=lam,
     )
     n = problem.primal_dim
     for _ in range(100):
-        state = pddr.step(state)
+        z = pddr.step(z)[0]
         lifted = step_lifted_ppp(problem, lifted, tau)
         reduced = lifted.w_lift / (1.0 + alpha_lift)
-        assert np.linalg.norm(reduced[:n] - state.p) <= 1e-10
-        assert np.linalg.norm(reduced[n:] - state.q) <= 1e-10
+        assert np.linalg.norm(reduced[:n] - z[:n]) <= 1e-10
+        assert np.linalg.norm(reduced[n:] - z[n:]) <= 1e-10
 
 
 def test_lifted_state_validation():
@@ -180,25 +183,25 @@ def test_run_divergence_status():
 
 
 class _DualNaNStepper:
-    """Shrinks p each step and sets q to NaN at step 3; x stays finite."""
+    """Halves p each step and sets q to NaN at step 3; x = p stays finite."""
 
     residual_scale = 1.0
 
-    def governing(self, state):
-        return np.concatenate([state.p, state.q])
+    def __init__(self, n):
+        self.n, self.steps = n, 0
 
-    def step(self, state):
-        new = state.copy()
-        new.k += 1
-        new.p *= 0.5
-        if new.k == 3:
-            new.q[:] = np.nan
-        return new
+    def step(self, z):
+        self.steps += 1
+        z_next = z.copy()
+        z_next[:self.n] *= 0.5
+        if self.steps == 3:
+            z_next[self.n:] = np.nan
+        return z_next, z_next[:self.n].copy(), np.zeros(z.size - self.n)
 
 
 def test_run_non_finite_dual_is_diverged():
     problem, *_ = quadratic_problem(12)
-    result = run(problem, _DualNaNStepper(), StoppingRule(50, 1e-14),
+    result = run(problem, _DualNaNStepper(problem.primal_dim), StoppingRule(50, 1e-14),
                  initial_state=gaussian_state(problem, seed=3))
     assert result.status == "diverged"
     assert result.iterations == 3
@@ -206,24 +209,26 @@ def test_run_non_finite_dual_is_diverged():
 
 
 class _BadPrimalStepper(_DualNaNStepper):
-    """Shrinks p each step and writes ``bad`` into x at step 3; (p, q) stay finite."""
+    """Halves p each step and writes ``bad`` into x = p at step 3; z stays finite."""
 
-    def __init__(self, bad):
+    def __init__(self, n, bad):
+        super().__init__(n)
         self.bad = bad
 
-    def step(self, state):
-        new = state.copy()
-        new.k += 1
-        new.p *= 0.5
-        if new.k == 3:
-            new.x[-1] = self.bad
-        return new
+    def step(self, z):
+        self.steps += 1
+        z_next = z.copy()
+        z_next[:self.n] *= 0.5
+        x = z_next[:self.n].copy()
+        if self.steps == 3:
+            x[-1] = self.bad
+        return z_next, x, np.zeros(z.size - self.n)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_run_non_finite_primal_is_diverged(bad):
     problem, *_ = quadratic_problem(12)
-    result = run(problem, _BadPrimalStepper(bad), StoppingRule(50, 1e-14),
+    result = run(problem, _BadPrimalStepper(problem.primal_dim, bad), StoppingRule(50, 1e-14),
                  initial_state=gaussian_state(problem, seed=3))
     assert result.status == "diverged"
     assert result.iterations == 3
@@ -263,7 +268,7 @@ def test_objective_on_stride_and_final_row(status):
 
     x_ref = np.ones(problem.primal_dim)
     result = run(problem, stepper, stopping, initial_state=init, x_ref=x_ref,
-                 objective=objective, extra_metrics={"q_norm": lambda s: np.linalg.norm(s.q)})
+                 objective=objective, extra_metrics={"q_norm": lambda s: np.linalg.norm(s.z[problem.primal_dim:])})
     assert result.status == ("max_iters" if status == "zero_iters" else status)
     col = {name: i for i, name in enumerate(TRACE_COLUMNS)}
     last = len(result.trace) - 1
@@ -294,6 +299,40 @@ def test_stepper_validation():
         PDDRStepper(problem, 5.0, 0.5, mu_g=0.25, mu_f=0.25)
     with pytest.raises(ValueError):
         StoppingRule(-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fixed_point_tol", np.nan), ("fixed_point_tol", 0.0), ("fixed_point_tol", -1e-9),
+    ("divergence_threshold", np.nan), ("divergence_threshold", 0.0),
+    ("divergence_threshold", -np.inf),
+    ("max_iters", 2.5), ("max_iters", True), ("max_iters", -1), ("max_iters", "10"),
+])
+def test_stopping_rule_refuses_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        StoppingRule(**{"max_iters": 10, field: value})
+
+
+def test_stopping_rule_accepts_infinite_threshold_and_numpy_int():
+    problem = scalar_problem()
+    result = run(problem, PDDRStepper(problem, 0.2, 0.5),
+                 StoppingRule(np.int64(3), divergence_threshold=np.inf))
+    assert result.status == "max_iters" and result.iterations == 3
+
+
+STEP_ARGUMENTS = {
+    "tau": lambda problem, value: PDDRStepper(problem, value, 0.5),
+    "theta": lambda problem, value: PDDRStepper(problem, 0.2, value),
+    "tau_p": lambda problem, value: CPStepper(problem, value, 0.3),
+    "sigma_d": lambda problem, value: CPStepper(problem, 0.3, value),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_ARGUMENTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_steppers_refuse_non_finite_steps(name, bad):
+    problem, *_ = quadratic_problem(11)
+    with pytest.raises(ValueError, match=name):
+        STEP_ARGUMENTS[name](problem, bad)
 
 
 def test_adapted_warns_when_decomposition_broken():
@@ -328,9 +367,9 @@ def test_contraction_under_certificate():
     init = gaussian_state(problem, seed=3)
     ref = run(problem, stepper, StoppingRule(50000, 1e-13), initial_state=init)
     assert ref.status == "converged"
-    hat = np.concatenate([ref.state.p, ref.state.q])
+    hat = ref.state.z
     second = run(problem, stepper, StoppingRule(2000, 1e-13), initial_state=init,
-                 extra_metrics={"gov": lambda s: np.linalg.norm(np.concatenate([s.p, s.q]) - hat)})
+                 extra_metrics={"gov": lambda s: np.linalg.norm(s.z - hat)})
     dists = second.extras["gov"]
     for prev, cur in zip(dists[1:], dists[2:]):
         if prev <= 1e-8:  # below here the reference point error dominates
