@@ -137,8 +137,6 @@ def _stepsize_payload(gamma_g, gamma_f, theta=0.5, mismatch_norm=None,
         if mismatch_norm is None:
             raise click.ClickException("missing config key: 'mismatch_norm'")
         d = float(mismatch_norm)
-        if not d >= 0:
-            raise click.ClickException(f"mismatch_norm must be nonnegative, got {d}")
         plan = stepsize.plan(stepsize.ConvexityProfile(gamma_g, gamma_f, d), theta, d, 0.0)
     elif None in csvs:
         raise click.ClickException("forward_csv and surrogate_csv must be given together")

@@ -98,17 +98,6 @@ def _plan_summary(pair, plan):
             "predicted_rate": plan.rate, "spectral": spectral}
 
 
-def _trace_from_result(result):
-    """Flatten a RunResult into (columns, rows) with extras appended; without
-    extras the rows are ``result.trace``'s own tuples, not copies."""
-    extra_names = sorted(result.extras)
-    columns = solvers.TRACE_COLUMNS + tuple(extra_names)
-    if not extra_names:
-        return columns, result.trace
-    extras = zip(*(result.extras[name] for name in extra_names))
-    return columns, [row + extra for row, extra in zip(result.trace, extras)]
-
-
 def _run_suite(report, problem, plan, stopping, objective, x_ref, matched_ref,
                extra_metrics=None):
     """Matched, mismatched and adapted PDDR with the plan's step, then the
@@ -135,7 +124,7 @@ def _run_suite(report, problem, plan, stopping, objective, x_ref, matched_ref,
                           objective=objective, extra_metrics=None if matched else extra_metrics)
         runs[name] = res
         report.statuses[name] = res.status
-        report.traces[name] = _trace_from_result(res)
+        report.traces[name] = (res.columns, res.trace)
     inner = {name: st.inner_solver for name, st in steppers.items() if name != "cp"}
     report.timings["inner_factor_s"] = {name: s.factor_s for name, s in inner.items()}
     return runs, steppers, {
@@ -186,8 +175,8 @@ def run_counterexample(dim=10, alpha_mm=0.01, tau=0.1, theta=1.0, seed=7,
                 "divergence_threshold": divergence_threshold},
     )
     report.statuses["mismatched"] = result.status
-    report.traces["mismatched"] = _trace_from_result(result)
-    norms = np.asarray(result.extras["primal_norm"])
+    report.traces["mismatched"] = (result.columns, result.trace)
+    norms = np.asarray(result.column("primal_norm"))
     half = norms[norms.size // 2:]
     slope = float(np.polyfit(np.arange(half.size), half, 1)[0]) if half.size > 1 else 0.0
     report.summary = {
@@ -246,7 +235,7 @@ def run_quadratic(config=None):
     mm = runs["mismatched"]
     report.summary = {
         **plan_summary,
-        "empirical_rate": _empirical_rate(mm.distances),
+        "empirical_rate": _empirical_rate(mm.column("dist_to_ref")),
         "error_bound": bound,
         "fixed_point_gap": float(np.linalg.norm(x_hat - x_star)),
         "terminal_dist_to_fixed_point": float(np.linalg.norm(mm.state.x - x_hat)),
@@ -346,12 +335,13 @@ def run_tomography(config=None):
     bound = analysis.error_bound(problem, mm.state.y, gamma_g=config.lam2)
     report.summary = {
         **plan_summary,
-        "empirical_rate": _empirical_rate(mm.residuals),
+        "empirical_rate": _empirical_rate(mm.column("residual")),
         "error_bound": bound,
         # the matched run stands in for x*, the point the bound is about
         "dist_mismatched_to_matched": float(
             np.linalg.norm(mm.state.x - runs["matched"].state.x)),
-        "final_residuals": {name: (res.residuals or [None])[-1] for name, res in runs.items()},
+        "final_residuals": {name: (res.column("residual") or [None])[-1]
+                            for name, res in runs.items()},
         **suite,
     }
 

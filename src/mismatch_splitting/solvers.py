@@ -84,8 +84,9 @@ class PDDRStepper:
     def __init__(self, problem, tau, theta, mode="mismatched", mu_g=0.0, mu_f=0.0):
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"tau must be positive and finite, got {tau!r}")
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta!r}")
+        for name, value in (("theta", theta), ("mu_g", mu_g), ("mu_f", mu_f)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if mode == "matched":
             if not (0.0 < theta < 2.0):
                 raise ValueError("matched mode requires theta in (0, 2)")
@@ -175,24 +176,17 @@ OBJECTIVE_EVERY = 10
 class RunResult:
     status: str  # converged | diverged | max_iters
     state: SolverState
-    trace: list = field(default_factory=list)  # rows of TRACE_COLUMNS
-    extras: dict = field(default_factory=dict)
+    columns: tuple = TRACE_COLUMNS  # then the extra_metrics names
+    trace: list = field(default_factory=list)  # one row of columns per iteration
 
     @property
     def iterations(self):
         return self.state.k
 
-    def _column(self, name):
-        i = TRACE_COLUMNS.index(name)
+    def column(self, name):
+        """The column ``name``, its Nones left out."""
+        i = self.columns.index(name)
         return [row[i] for row in self.trace if row[i] is not None]
-
-    @property
-    def residuals(self):
-        return self._column("residual")
-
-    @property
-    def distances(self):
-        return self._column("dist_to_ref")
 
 
 def _norm(d):
@@ -212,17 +206,20 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
     no input, nor does ``run`` modify ``initial_state``; ``z = (p, q)`` for
     PDDR and ``(x, y)`` for CP.  The residual is ||z_{k+1} - z_k|| /
     residual_scale: for PDDR (|theta|) the fixed-point defect ||(v,w) - (x,y)||
-    at z_k.  Each iteration appends one row of TRACE_COLUMNS to
-    ``result.trace``; experiments.emit_report writes the rows out as CSV.
+    at z_k.  ``result.columns`` is TRACE_COLUMNS followed by the
+    ``extra_metrics`` names in the dict's order, and ``result.trace`` holds
+    one row per iteration, the start first: ``(k, dist, obj, residual, ms,
+    *metrics)``, each metric ``float(fn(state))`` taken after the stamp.
     ``objective`` is evaluated at the primal iterate on rows with
     ``k % OBJECTIVE_EVERY == 0`` and on the final row, whatever the status,
-    and is None elsewhere: no caller reads it per row.  The distance,
-    residual, stamp and extras are on every row.
+    and is None elsewhere: no caller reads it per row.  The other columns are
+    on every row (``dist`` is None without ``x_ref``, ``residual`` on the
+    start row).  ``result.column(name)`` reads a column without its Nones;
+    experiments.emit_report writes the table as CSV.
     """
     state = initial_state if initial_state is not None else zero_state(problem)
-    result = RunResult(status="max_iters", state=state)
-    if extra_metrics:
-        result.extras = {name: [] for name in extra_metrics}
+    extra_metrics = extra_metrics or {}
+    result = RunResult("max_iters", state, TRACE_COLUMNS + tuple(extra_metrics))
     t0 = time.perf_counter()
 
     def record(state, residual, final):
@@ -230,10 +227,10 @@ def run(problem, stepper, stopping, initial_state=None, x_ref=None,
         obj = None
         if objective is not None and (final or state.k % OBJECTIVE_EVERY == 0):
             obj = float(objective(state.x))
-        result.trace.append((state.k, dist, obj, residual, (time.perf_counter() - t0) * 1e3))
-        if extra_metrics:
-            for name, fn in extra_metrics.items():
-                result.extras[name].append(float(fn(state)))
+        row = (state.k, dist, obj, residual, (time.perf_counter() - t0) * 1e3)
+        for fn in extra_metrics.values():  # cheaper than a comprehension for 0-2 metrics
+            row += (float(fn(state)),)
+        result.trace.append(row)
 
     record(state, None, stopping.max_iters == 0)
     for i in range(stopping.max_iters):

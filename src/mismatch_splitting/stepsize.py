@@ -23,10 +23,13 @@ class ConvexityProfile:
     mismatch_norm: float
 
     def __post_init__(self):
-        if self.gamma_g <= 0 or self.gamma_f <= 0:
-            raise ValueError("strong convexity moduli must be positive")
-        if self.mismatch_norm < 0:
-            raise ValueError("mismatch norm must be nonnegative")
+        # negated comparisons, so that NaN is refused too
+        for name in ("gamma_g", "gamma_f"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not 0.0 <= self.mismatch_norm < math.inf:
+            raise ValueError(
+                f"mismatch_norm must be nonnegative and finite, got {self.mismatch_norm!r}")
 
     @property
     def exists_unique(self):
@@ -142,9 +145,9 @@ def compute_plan(profile, theta, sigma, b_sigma_norm):
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
-    if b_sigma_norm <= 0:
+    if not b_sigma_norm > 0:  # `not >` also refuses NaN
         raise ValueError("b_sigma_norm must be positive")
-    if sigma <= 0:
+    if not sigma > 0:
         raise CertificateError(
             "sigma_min of the shifted skew block is not strictly positive; "
             "no positive rate certificate"
@@ -193,7 +196,7 @@ def compute_plan(profile, theta, sigma, b_sigma_norm):
 
     tau = min(tau_s, tau_tilde)
     eta = rate_eta(tau, delta, upsilon, sigma, b_sigma_norm, m_max)
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise CertificateError("no positive rate certificate (eta <= 0)")
 
     return StepPlan(

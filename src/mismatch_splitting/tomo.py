@@ -205,7 +205,6 @@ class ProjectorPair:
 
     forward: VStackMap
     surrogate: VStackMap
-    geometry: ParallelGeometry
     radon_forward: MatrixOperator
     radon_surrogate: MatrixOperator
     gradient: NeumannGradient
@@ -222,7 +221,6 @@ def build_projector_pair(geom):
     return ProjectorPair(
         forward=VStackMap([radon_a, grad]),
         surrogate=VStackMap([radon_v, grad]),
-        geometry=geom,
         radon_forward=radon_a,
         radon_surrogate=radon_v,
         gradient=grad,

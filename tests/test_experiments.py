@@ -357,6 +357,42 @@ def test_cli_stepsize_rejects_negative_mismatch_norm(tmp_path, capsys):
     assert not (out / "stepsize_plan.json").exists()
 
 
+def test_cli_stepsize_rejects_infinite_modulus(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_g": math.inf, "gamma_f": 1.0, "mismatch_norm": 0.0}))
+    out = tmp_path / "out"
+    assert cli_main(["stepsize", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "gamma_g must be positive and finite" in capsys.readouterr().err
+    assert not (out / "stepsize_plan.json").exists()
+
+
+def test_quadratic_refuses_infinite_alpha():
+    with pytest.raises(ValueError, match="gamma_g must be positive and finite"):
+        run_quadratic(QuadraticConfig(alpha=math.inf))
+
+
+def test_emit_report_writes_each_run_table(tmp_path, monkeypatch):
+    from mismatch_splitting import solvers
+
+    results, original = [], solvers.run
+
+    def capture(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "run", capture)
+    report = run_quadratic(small_quadratic(max_iters=60))
+    emit_report(report, tmp_path)
+    assert len(results) == len(report.traces) == 4
+    for name, result in zip(("matched", "mismatched", "adapted", "cp"), results):
+        columns, rows = report.traces[name]
+        assert columns == result.columns and rows is result.trace
+        lines = (tmp_path / f"quadratic_{name}.csv").read_text().splitlines()
+        assert lines[0] == ",".join(result.columns)
+        assert len(lines) == 1 + len(result.trace)
+    assert results[0].columns[-1] == "wall_time_ms" and results[1].columns[-1] == "dist_to_true"
+
+
 def test_cli_stepsize_missing_mismatch_norm(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamma_g": 2.0, "gamma_f": 0.1, "theta": 0.5}))

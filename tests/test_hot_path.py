@@ -125,9 +125,9 @@ def test_residual_is_the_fixed_point_defect(kind, mode):
     result = run(stepper.problem, stepper, StoppingRule(30, fixed_point_tol=1e-6),
                  initial_state=gaussian_state(stepper.problem, seed=12),
                  extra_metrics={"defect": defect})
-    residuals = result.residuals
+    residuals = result.column("residual")
     assert len(residuals) == 30
-    assert np.allclose(residuals, result.extras["defect"][:-1], rtol=1e-12, atol=0.0)
+    assert np.allclose(residuals, result.column("defect")[:-1], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", PAIRS)

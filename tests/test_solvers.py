@@ -282,7 +282,25 @@ def test_objective_on_stride_and_final_row(status):
     for i, row in enumerate(result.trace):
         assert row[col["dist_to_ref"]] is not None and row[col["wall_time_ms"]] is not None
         assert (row[col["residual"]] is not None) == (i > 0)
-    assert len(result.extras["q_norm"]) == len(result.trace)
+    assert len(result.column("q_norm")) == len(result.trace)
+
+
+def test_extra_metrics_follow_trace_columns_in_dict_order():
+    problem, *_ = quadratic_problem(11)
+    states = []
+
+    def b(state):
+        states.append(state)
+        return np.linalg.norm(state.x)
+
+    result = run(problem, PDDRStepper(problem, 0.2, 0.5), StoppingRule(25, 1e-14),
+                 extra_metrics={"b": b, "a": lambda state: state.k + 0.5})
+    assert result.columns == TRACE_COLUMNS + ("b", "a")
+    assert len(states) == len(result.trace) == 26
+    for row, state in zip(result.trace, states):
+        assert row[0] == state.k
+        assert row[-2:] == (float(np.linalg.norm(state.x)), state.k + 0.5)
+    assert result.column("a") == [k + 0.5 for k in range(26)]
 
 
 def test_stepper_validation():
@@ -324,6 +342,8 @@ STEP_ARGUMENTS = {
     "theta": lambda problem, value: PDDRStepper(problem, 0.2, value),
     "tau_p": lambda problem, value: CPStepper(problem, value, 0.3),
     "sigma_d": lambda problem, value: CPStepper(problem, 0.3, value),
+    "mu_g": lambda problem, value: PDDRStepper(problem, 0.2, 0.5, mu_g=value),
+    "mu_f": lambda problem, value: PDDRStepper(problem, 0.2, 0.5, mu_f=value),
 }
 
 
@@ -370,7 +390,7 @@ def test_contraction_under_certificate():
     hat = ref.state.z
     second = run(problem, stepper, StoppingRule(2000, 1e-13), initial_state=init,
                  extra_metrics={"gov": lambda s: np.linalg.norm(s.z - hat)})
-    dists = second.extras["gov"]
+    dists = second.column("gov")
     for prev, cur in zip(dists[1:], dists[2:]):
         if prev <= 1e-8:  # below here the reference point error dominates
             break

@@ -158,10 +158,23 @@ def test_validation_errors():
         compute_plan(profile, 0.5, 0.5, 0.0)
     with pytest.raises(CertificateError):
         compute_plan(profile, 0.5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="b_sigma_norm"):
+        compute_plan(profile, 0.5, 0.5, math.nan)
+    with pytest.raises(CertificateError):
+        compute_plan(profile, 0.5, math.nan, 1.0)
     with pytest.raises(ValueError):
         ConvexityProfile(0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         ConvexityProfile(1.0, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma_g", math.inf), ("gamma_g", math.nan), ("gamma_f", math.inf), ("gamma_f", math.nan),
+    ("mismatch_norm", math.inf), ("mismatch_norm", math.nan), ("mismatch_norm", -0.1),
+])
+def test_profile_refuses_bad_fields_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        ConvexityProfile(**{"gamma_g": 1.0, "gamma_f": 1.0, "mismatch_norm": 0.2, field: value})
 
 
 def test_existence_flag():
