@@ -48,7 +48,6 @@ from .stepsize import (
     select_mus,
 )
 from .analysis import (
-    FixedPointReport,
     error_bound,
     fixed_point_report,
     inclusion_residual,

@@ -4,28 +4,8 @@ and closed-form references for the quadratic family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-from typing import Optional
-
 import numpy as np
 import scipy.linalg
-
-
-@dataclass
-class FixedPointReport:
-    exists_unique: bool
-    x_hat: Optional[np.ndarray] = None
-    y_hat: Optional[np.ndarray] = None
-    inclusion_residual: Optional[float] = None
-    error_bound: Optional[float] = None
-    distance_to_true: Optional[float] = None
-
-    def as_dict(self):
-        d = asdict(self)
-        for key in ("x_hat", "y_hat"):
-            if d[key] is not None:
-                d[key] = np.asarray(d[key]).tolist()
-        return d
 
 
 def inclusion_residual(problem, x, y, probe_tau=1.0):
@@ -91,16 +71,18 @@ def quadratic_reference(A, V, alpha, beta, z):
 
 
 def fixed_point_report(problem, profile, x, y, probe_tau=1.0, x_true=None):
-    """Assemble a FixedPointReport for a candidate point."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    report = FixedPointReport(
-        exists_unique=profile.exists_unique,
-        x_hat=x,
-        y_hat=y,
-        inclusion_residual=inclusion_residual(problem, x, y, probe_tau),
-        error_bound=error_bound(problem, y, gamma_g=profile.gamma_g),
-    )
-    if x_true is not None:
-        report.distance_to_true = float(np.linalg.norm(x - np.asarray(x_true, dtype=float)))
-    return report
+    """The fixed-point report of a candidate point (x, y) as a JSON-ready
+    dict: ``exists_unique`` (the existence condition of ``profile``),
+    ``x_hat`` and ``y_hat`` (the point, as lists), ``inclusion_residual``,
+    ``error_bound`` (at y, with ``profile.gamma_g``) and
+    ``distance_to_true`` (||x - x_true||, None without ``x_true``)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return {
+        "exists_unique": profile.exists_unique,
+        "x_hat": x.tolist(),
+        "y_hat": y.tolist(),
+        "inclusion_residual": inclusion_residual(problem, x, y, probe_tau),
+        "error_bound": error_bound(problem, y, gamma_g=profile.gamma_g),
+        "distance_to_true": None if x_true is None
+        else float(np.linalg.norm(x - np.asarray(x_true, dtype=float))),
+    }

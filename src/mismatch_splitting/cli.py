@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
-import os
 import sys
 import typing
 
@@ -50,7 +49,8 @@ def _type_ok(value, kind):
 def _fill(target, data, seed=None):
     """Call ``target``, a config dataclass or a keyword function, with the
     config keys, which must name its parameters and give every parameter
-    without a default.  A dataclass's values must match its field types."""
+    without a default.  Each value must match its parameter's annotation;
+    null is accepted only where the default is None."""
     params = inspect.signature(target).parameters
     unknown = set(data) - set(params)
     if unknown:
@@ -59,15 +59,16 @@ def _fill(target, data, seed=None):
                if p.default is p.empty and name not in data]
     if missing:
         raise click.ClickException(f"missing config key: {', '.join(map(repr, missing))}")
-    if dataclasses.is_dataclass(target):
-        for key, kind in typing.get_type_hints(target).items():
-            if key in data and not _type_ok(data[key], kind):
-                raise click.ClickException(
-                    f"config key {key!r} must be {kind.__name__}, got {data[key]!r}")
-    kwargs = dict(data)
+    hints = typing.get_type_hints(target)
+    for key, value in data.items():
+        # a value for an X | None parameter is checked as an X
+        kind = next((a for a in typing.get_args(hints[key]) if a is not type(None)), hints[key])
+        if not (value is None and params[key].default is None or _type_ok(value, kind)):
+            raise click.ClickException(
+                f"config key {key!r} must be {kind.__name__}, got {value!r}")
     if seed is not None:
-        kwargs["seed"] = seed
-    return target(**kwargs)
+        data = {**data, "seed": seed}
+    return target(**data)
 
 
 def _finish(report, out_dir):
@@ -125,8 +126,9 @@ def tomo(config_path, out_dir, seed, full_scale):
     _finish(experiments.run_tomography(config), out_dir)
 
 
-def _stepsize_payload(gamma_g, gamma_f, theta=0.5, mismatch_norm=None,
-                      forward_csv=None, surrogate_csv=None):
+def _stepsize_payload(gamma_g: float, gamma_f: float, theta: float = 0.5,
+                      mismatch_norm: float | None = None, forward_csv: str | None = None,
+                      surrogate_csv: str | None = None):
     """The plan file of ``stepsize``: profile, certified plan and rate."""
     csvs = (forward_csv, surrogate_csv)
     if mismatch_norm is not None and csvs != (None, None):
@@ -145,7 +147,7 @@ def _stepsize_payload(gamma_g, gamma_f, theta=0.5, mismatch_norm=None,
         plan = experiments.certified_plan(pair, gamma_g, gamma_f, theta)
         d = pair.mismatch_norm
     return {"profile": {"gamma_g": gamma_g, "gamma_f": gamma_f, "mismatch_norm": d},
-            "plan": plan.as_dict(),
+            "plan": dataclasses.asdict(plan),
             "predicted_rate": plan.rate}
 
 
@@ -160,11 +162,7 @@ def stepsize_cmd(config_path, out_dir):
     with ||A|| = d and ||V|| = 0, the numbers of the 1-d pair A = d, V = 0.
     """
     payload = _fill(_stepsize_payload, _load_config(config_path))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "stepsize_plan.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = experiments.write_json(out_dir, "stepsize_plan.json", payload)
     for key, value in payload["plan"].items():
         click.echo(f"{key:>14}  {value}")
     click.echo(path)
@@ -173,8 +171,8 @@ def stepsize_cmd(config_path, out_dir):
 cli.add_command(stepsize_cmd, name="stepsize")
 
 
-def _analyze_report(forward_csv, surrogate_csv, alpha, beta, z, x=None, y=None,
-                    probe_tau=1.0):
+def _analyze_report(forward_csv: str, surrogate_csv: str, alpha: float, beta: float, z: list,
+                    x: list | None = None, y: list | None = None, probe_tau: float = 1.0):
     """The fixed-point report of ``analyze`` for the config's problem."""
     fwd, sur = load_operator_csv(forward_csv), load_operator_csv(surrogate_csv)
     alpha, beta = float(alpha), float(beta)
@@ -202,12 +200,7 @@ def analyze(config_path, out_dir):
     point) and probe_tau.
     """
     report = _fill(_analyze_report, _load_config(config_path))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "analyze_report.json")
-    with open(path, "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    click.echo(path)
+    click.echo(experiments.write_json(out_dir, "analyze_report.json", report))
 
 
 def main(argv=None):

@@ -54,7 +54,6 @@ class TomoConfig:
     fixed_point_tol: float = 1e-6
     seed: int = 42
     with_oracle: bool = False
-    oracle_factor: int = 10
 
 
 @dataclass
@@ -143,8 +142,8 @@ def _empirical_rate(values, window=100, floor=1e-14):
     return (vals[-1] / vals[-1 - w]) ** (1.0 / w)
 
 
-def run_counterexample(dim=10, alpha_mm=0.01, tau=0.1, theta=1.0, seed=7,
-                       max_iters=10000, divergence_threshold=1e6):
+def run_counterexample(dim: int = 10, alpha_mm: float = 0.01, tau: float = 0.1, theta: float = 1.0,
+                       seed: int = 7, max_iters: int = 10000, divergence_threshold: float = 1e6):
     """Identity forward map with surrogate adjoint -alpha_mm I.
 
     With G == 0 and F the l1 norm, the mismatched iteration runs away from
@@ -190,6 +189,8 @@ def run_counterexample(dim=10, alpha_mm=0.01, tau=0.1, theta=1.0, seed=7,
 
 
 def _quadratic_operators(config):
+    if not 0.0 <= config.mismatch_eta < math.inf:
+        raise ValueError(f"mismatch_eta must be finite and non-negative, got {config.mismatch_eta}")
     rng = np.random.default_rng(config.seed)
     a = rng.standard_normal((config.m, config.n)) / math.sqrt(config.n)
     e = rng.standard_normal((config.m, config.n))
@@ -229,7 +230,7 @@ def run_quadratic(config=None):
     stopping = solvers.StoppingRule(config.max_iters, config.fixed_point_tol)
     dist_true = {"dist_to_true": lambda s: np.linalg.norm(s.x - x_star)}
 
-    report = RunReport(experiment="quadratic", config=asdict(config), plan=plan.as_dict())
+    report = RunReport(experiment="quadratic", config=asdict(config), plan=asdict(plan))
     runs, _, suite = _run_suite(report, problem, plan, stopping, objective,
                                 x_hat, x_star, dist_true)
     mm = runs["mismatched"]
@@ -327,7 +328,7 @@ def run_tomography(config=None):
 
     stopping = solvers.StoppingRule(config.max_iters, config.fixed_point_tol)
 
-    report = RunReport(experiment="tomo", config=asdict(config), plan=plan.as_dict())
+    report = RunReport(experiment="tomo", config=asdict(config), plan=asdict(plan))
     x_ref = phantom.ravel()
     runs, steppers, suite = _run_suite(report, problem, plan, stopping, objective,
                                        x_ref, x_ref)
@@ -353,7 +354,7 @@ def run_tomography(config=None):
 
     if config.with_oracle:
         oracle_stop = solvers.StoppingRule(
-            config.max_iters * config.oracle_factor,
+            10 * config.max_iters,  # the oracle's budget
             max(config.fixed_point_tol * 1e-3, 1e-14))
         oracle = solvers.run(problem, steppers["mismatched"], oracle_stop,
                              x_ref=x_ref, objective=objective)
@@ -366,13 +367,13 @@ def run_tomography(config=None):
     return report
 
 
-def write_pgm(path, image, vmin=None, vmax=None):
+def write_pgm(path, image):
     """Write a 2-d array as a binary 8-bit PGM (deterministic bytes), scaled
     on its finite pixels; NaN and -inf are written as 0 and +inf as 255."""
     img = np.asarray(image, dtype=float)
     finite = np.isfinite(img)
-    lo = float(np.min(img, initial=np.inf, where=finite)) if vmin is None else vmin
-    hi = float(np.max(img, initial=-np.inf, where=finite)) if vmax is None else vmax
+    lo = float(np.min(img, initial=np.inf, where=finite))
+    hi = float(np.max(img, initial=-np.inf, where=finite))
     scaled = np.zeros_like(img)
     if hi > lo:
         scaled[finite] = (img[finite] - lo) / (hi - lo)
@@ -381,6 +382,18 @@ def write_pgm(path, image, vmin=None, vmax=None):
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
+
+
+def write_json(out_dir, name, payload):
+    """Write ``payload`` to ``out_dir/name`` as JSON with indent 2, sorted
+    keys and a final newline, and return the path.  This is the only JSON
+    writer: every result file goes through it."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def emit_report(report, out_dir):
@@ -403,19 +416,14 @@ def emit_report(report, out_dir):
                                   for c in row) + "\n")
         paths.append(path)
 
-    summary_path = os.path.join(out_dir, f"{report.experiment}_summary.json")
-    payload = {
+    paths.append(write_json(out_dir, f"{report.experiment}_summary.json", {
         "experiment": report.experiment,
         "config": report.config,
         "statuses": report.statuses,
         "plan": report.plan,
         "summary": report.summary,
         "timings": report.timings,
-    }
-    with open(summary_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths.append(summary_path)
+    }))
 
     for name in sorted(report.images):
         path = os.path.join(out_dir, f"{report.experiment}_{name}.pgm")

@@ -55,6 +55,10 @@ class MatrixOperator:
             matrix = np.asarray(matrix, dtype=float)
             if matrix.ndim != 2:
                 raise ValueError("matrix must be 2-dimensional")
+        if 0 in matrix.shape:
+            raise ValueError(f"matrix has a zero dimension: shape {matrix.shape}")
+        if not np.isfinite(matrix.data if scipy.sparse.issparse(matrix) else matrix).all():
+            raise ValueError("matrix has a non-finite entry")
         self._matrix = matrix
         self._adjoint = _transposed(matrix)
         self.codomain_dim, self.domain_dim = matrix.shape

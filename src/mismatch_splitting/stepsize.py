@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -61,9 +61,6 @@ class StepPlan:
     c: float
     norm_a: Optional[float] = None  # ||A|| and ||V||, as given to plan()
     norm_v: Optional[float] = None
-
-    def as_dict(self):
-        return asdict(self)
 
 
 class CertificateError(RuntimeError):

@@ -120,12 +120,13 @@ def test_fixed_point_report_serializable():
     profile = ConvexityProfile(1.0, 1.0, 1.5)
     report = fixed_point_report(problem, profile, [-3.0], [-6.0],
                                 x_true=[1.5])
-    payload = json.dumps(report.as_dict())
+    payload = json.dumps(report)
     back = json.loads(payload)
     assert back["exists_unique"] is True
     assert back["inclusion_residual"] <= 1e-12
     assert back["error_bound"] == pytest.approx(9.0)
     assert back["distance_to_true"] == pytest.approx(4.5)
+    assert fixed_point_report(problem, profile, [-3.0], [-6.0])["distance_to_true"] is None
 
 
 @given(st.integers(0, 10_000))

@@ -547,3 +547,126 @@ def test_cli_counterexample_has_no_seed_flag(tmp_path):
 def test_cli_quadratic_has_no_full_scale_flag(tmp_path):
     # max_iters is set through --config; only tomo keeps --full-scale
     assert cli_main(["quadratic", "--out", str(tmp_path), "--full-scale"]) == 1
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("counterexample", {"tau": True, "max_iters": 50}, "tau"),
+    ("stepsize", {"gamma_g": "2", "gamma_f": True, "mismatch_norm": 0.5}, "gamma_g"),
+    ("analyze", {"alpha": True, "beta": 1.0, "z": [0.1, -0.2, 0.3, 0.4]}, "alpha"),
+])
+def test_cli_wrongly_typed_value_exits_one_for_every_command(tmp_path, capsys, command,
+                                                             config, key):
+    if command == "analyze":
+        config = {**_write_csv_pair(tmp_path, np.random.default_rng(0)), **config}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_null_only_where_the_default_is_none(tmp_path, capsys):
+    pair = _write_csv_pair(tmp_path, np.random.default_rng(0))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**pair, "gamma_g": 2.0, "gamma_f": 0.1, "mismatch_norm": None}))
+    assert cli_main(["stepsize", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    cfg.write_text(json.dumps({**pair, "gamma_g": None, "gamma_f": 0.1}))
+    assert cli_main(["stepsize", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+    assert "config key 'gamma_g' must be float, got None" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("quadratic", {"n": 0}),
+    ("counterexample", {"dim": 0}),
+])
+def test_cli_zero_dimension_exits_one_naming_it(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "matrix has a zero dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_stepsize_refuses_a_non_finite_operator_entry(tmp_path, capsys):
+    pair = _write_csv_pair(tmp_path, np.random.default_rng(0))
+    lines = (tmp_path / "a.csv").read_text().splitlines()
+    lines[1] = "nan," + lines[1].split(",", 1)[1]
+    (tmp_path / "a.csv").write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**pair, "gamma_g": 2.0, "gamma_f": 0.1}))
+    out = tmp_path / "out"
+    assert cli_main(["stepsize", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "matrix has a non-finite entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_counterexample_refuses_nan_mismatch():
+    with pytest.raises(ValueError, match="non-finite entry"):
+        run_counterexample(alpha_mm=math.nan)
+
+
+@pytest.mark.parametrize("eta", [-0.3, math.nan, math.inf])
+def test_quadratic_refuses_negative_or_non_finite_mismatch_eta(eta):
+    with pytest.raises(ValueError, match="mismatch_eta"):
+        run_quadratic(small_quadratic(mismatch_eta=eta))
+
+
+def test_quadratic_zero_mismatch_eta_is_the_matched_pair():
+    report = run_quadratic(small_quadratic(mismatch_eta=0.0, max_iters=100))
+    assert report.summary["mismatch_norm"] == 0.0
+    assert report.summary["error_bound"] == 0.0
+
+
+def test_tomo_oracle_budget_is_ten_times_max_iters(monkeypatch):
+    from mismatch_splitting import solvers
+
+    budgets, original = [], solvers.run
+
+    def capture(problem, stepper, stopping, **kwargs):
+        budgets.append(stopping.max_iters)
+        return original(problem, stepper, stopping, **kwargs)
+
+    monkeypatch.setattr(solvers, "run", capture)
+    report = run_tomography(TomoConfig(8, 2, max_iters=30, with_oracle=True))
+    assert budgets == [30] * 4 + [300]
+    assert "oracle_factor" not in report.config
+
+
+def test_cli_tomo_refuses_oracle_factor(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"image_size": 8, "num_angles": 2, "oracle_factor": 0}))
+    out = tmp_path / "out"
+    assert cli_main(["tomo", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "unknown config keys: ['oracle_factor']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_json_file_comes_from_the_one_writer(tmp_path):
+    import mismatch_splitting
+
+    pair = _write_csv_pair(tmp_path, np.random.default_rng(0))
+    runs = {
+        "quadratic": {"n": 40, "m": 20, "max_iters": 300},
+        "stepsize": {"gamma_g": 2, "gamma_f": 0.1, "mismatch_norm": 0.2945},
+        "analyze": {**pair, "alpha": 0.5, "beta": 1.0, "z": [0.1, -0.2, 0.3, 0.4]},
+    }
+    out = tmp_path / "out"
+    for command, config in runs.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    written = sorted(out.glob("*.json"))
+    assert [p.name for p in written] == [
+        "analyze_report.json", "quadratic_summary.json", "stepsize_plan.json"]
+    for path in written:
+        with open(path) as fh:
+            canonical = json.dumps(json.load(fh), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == canonical
+    # an int modulus is written as the float it is coerced to
+    assert '"gamma_g": 2.0' in (out / "stepsize_plan.json").read_text()
+    src = os.path.dirname(mismatch_splitting.__file__)
+    sources = [open(os.path.join(src, name)).read()
+               for name in os.listdir(src) if name.endswith(".py")]
+    assert sum(text.count("json.dump") for text in sources) == 1

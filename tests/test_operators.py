@@ -609,3 +609,14 @@ def test_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "3,4"
     loaded = load_operator_csv(path)
     assert np.allclose(loaded.as_array(), op.as_array())
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros((0, 3)), "zero dimension"),
+    (scipy.sparse.csr_matrix((3, 0)), "zero dimension"),
+    (np.array([[1.0, np.inf]]), "non-finite entry"),
+    (scipy.sparse.csr_matrix(np.array([[0.0, np.nan]])), "non-finite entry"),
+])
+def test_matrix_operator_refuses_empty_or_non_finite_matrix(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        MatrixOperator(matrix)

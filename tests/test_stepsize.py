@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_scalar_plan_equals_certified_plan_on_1d_pair(gamma_g, gamma_f, d, theta
     # the 1-d pair A = d, V = 0 has ||A - V|| = ||A|| = d and ||V|| = 0
     pair = MismatchPair(ScaledIdentity(1, d), ScaledIdentity(1, 0.0))
     plan = scalar_plan(ConvexityProfile(gamma_g, gamma_f, d), theta, d, 0.0)
-    assert plan.as_dict() == certified_plan(pair, gamma_g, gamma_f, theta).as_dict()
+    assert asdict(plan) == asdict(certified_plan(pair, gamma_g, gamma_f, theta))
     assert (plan.norm_a, plan.norm_v) == (d, 0.0)
 
 
