@@ -15,8 +15,8 @@ def inclusion_residual(problem, x, y, probe_tau=1.0):
     which vanishes exactly at solutions of the inclusion.  The zero set is
     independent of probe_tau; the magnitude away from it is not.
     """
-    if probe_tau <= 0:
-        raise ValueError("probe_tau must be positive")
+    if not 0 < probe_tau < np.inf:
+        raise ValueError(f"probe_tau must be positive and finite, got {probe_tau!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rx = x - problem.prox_g(x - probe_tau * problem.pair.surrogate.apply_adjoint(y), probe_tau)
@@ -32,8 +32,9 @@ def error_bound(problem, y_hat, gamma_g=None):
     """
     if gamma_g is None:
         gamma_g = problem.prox_g.strong_convexity
-    if gamma_g <= 0:
-        raise ValueError("error bound requires a strongly convex G")
+    if not 0 < gamma_g < np.inf:
+        raise ValueError(f"error bound needs gamma_g positive and finite (a strongly "
+                         f"convex G), got {gamma_g!r}")
     y_hat = np.asarray(y_hat, dtype=float)
     diff = problem.pair.surrogate.apply_adjoint(y_hat) - problem.pair.forward.apply_adjoint(y_hat)
     return float(np.linalg.norm(diff)) / gamma_g

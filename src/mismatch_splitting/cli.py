@@ -173,11 +173,18 @@ cli.add_command(stepsize_cmd, name="stepsize")
 
 def _analyze_report(forward_csv: str, surrogate_csv: str, alpha: float, beta: float, z: list,
                     x: list | None = None, y: list | None = None, probe_tau: float = 1.0):
-    """The fixed-point report of ``analyze`` for the config's problem."""
+    """The fixed-point report of ``analyze`` for the config's problem.
+    ``z``, ``x`` and ``y`` are lists of m, n and m finite numbers for an
+    m x n pair."""
     fwd, sur = load_operator_csv(forward_csv), load_operator_csv(surrogate_csv)
+    pair = MismatchPair(fwd, sur)
+    for key, value, dim in (("z", z, pair.codomain_dim), ("x", x, pair.domain_dim),
+                            ("y", y, pair.codomain_dim)):
+        if value is not None and not (len(value) == dim and all(
+                _type_ok(v, float) and np.isfinite(v) for v in value)):
+            raise click.ClickException(f"config key {key!r} must be a list of {dim} finite numbers")
     alpha, beta = float(alpha), float(beta)
     z = np.asarray(z, dtype=float)
-    pair = MismatchPair(fwd, sur)
     problem = solvers.SaddleProblem(
         prox_scaled_quadratic(alpha), prox_scaled_quadratic(beta, shift=z), pair)
     profile = stepsize.ConvexityProfile(alpha, beta, pair.mismatch_norm)

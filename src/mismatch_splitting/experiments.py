@@ -97,16 +97,21 @@ def _plan_summary(pair, plan):
             "predicted_rate": plan.rate, "spectral": spectral}
 
 
-def _run_suite(report, problem, plan, stopping, objective, x_ref, matched_ref,
+def _run_suite(experiment, config, problem, plan, objective, x_ref, matched_ref,
                extra_metrics=None):
-    """Matched, mismatched and adapted PDDR with the plan's step, then the
-    surrogate-adjoint Chambolle-Pock baseline with step 0.95/sqrt(||A|| ||V||).
+    """The study of one problem: matched, mismatched and adapted PDDR with
+    the plan's step, then the surrogate-adjoint Chambolle-Pock baseline with
+    step 0.95/sqrt(||A|| ||V||), each stopped by ``config.max_iters`` and
+    ``config.fixed_point_tol``.  The matched run is measured against
+    ``matched_ref``, the others against ``x_ref`` and with ``extra_metrics``.
 
-    The matched run is measured against ``matched_ref``, the others against
-    ``x_ref`` and with ``extra_metrics``.  Statuses, traces and inner
-    factorisation times go into ``report``.  Returns the results, the
-    steppers and the summary entries ``cp_step`` and ``inner_backend``.
+    Returns the RunReport, with statuses, traces, inner factorisation times
+    and the summary entries every study shares (_plan_summary's, ``cp_step``
+    and ``inner_backend``), the results and the steppers.
     """
+    report = RunReport(experiment=experiment, config=asdict(config), plan=asdict(plan),
+                       summary=_plan_summary(problem.pair, plan))
+    stopping = solvers.StoppingRule(config.max_iters, config.fixed_point_tol)
     tau, theta = plan.tau, plan.theta
     step_cp = 0.95 / math.sqrt(plan.norm_a * plan.norm_v)
     steppers = {
@@ -126,11 +131,9 @@ def _run_suite(report, problem, plan, stopping, objective, x_ref, matched_ref,
         report.traces[name] = (res.columns, res.trace)
     inner = {name: st.inner_solver for name, st in steppers.items() if name != "cp"}
     report.timings["inner_factor_s"] = {name: s.factor_s for name, s in inner.items()}
-    return runs, steppers, {
-        "cp_step": step_cp,
-        "inner_backend": {name: {"backend": s.backend, "rcond": s.rcond}
-                          for name, s in inner.items()},
-    }
+    report.summary.update(cp_step=step_cp, inner_backend={
+        name: {"backend": s.backend, "rcond": s.rcond} for name, s in inner.items()})
+    return report, runs, steppers
 
 
 def _empirical_rate(values, window=100, floor=1e-14):
@@ -213,11 +216,9 @@ def run_quadratic(config=None):
     a_mat, v_mat, z = _quadratic_operators(config)
     pair = MismatchPair(MatrixOperator(a_mat), MatrixOperator(v_mat))
     plan = certified_plan(pair, config.alpha, config.beta, config.theta)
-    plan_summary = _plan_summary(pair, plan)
 
-    prox_g = prox_scaled_quadratic(config.alpha)
-    prox_f = prox_scaled_quadratic(config.beta, shift=z)
-    problem = solvers.SaddleProblem(prox_g, prox_f, pair)
+    problem = solvers.SaddleProblem(prox_scaled_quadratic(config.alpha),
+                                    prox_scaled_quadratic(config.beta, shift=z), pair)
 
     x_hat, y_hat, x_star = analysis.quadratic_reference(
         a_mat, v_mat, config.alpha, config.beta, z)
@@ -227,22 +228,17 @@ def run_quadratic(config=None):
         r = a_mat @ x - z
         return 0.5 * config.alpha * float(x @ x) + 0.5 / config.beta * float(r @ r)
 
-    stopping = solvers.StoppingRule(config.max_iters, config.fixed_point_tol)
     dist_true = {"dist_to_true": lambda s: np.linalg.norm(s.x - x_star)}
-
-    report = RunReport(experiment="quadratic", config=asdict(config), plan=asdict(plan))
-    runs, _, suite = _run_suite(report, problem, plan, stopping, objective,
-                                x_hat, x_star, dist_true)
+    report, runs, _ = _run_suite("quadratic", config, problem, plan, objective,
+                                 x_hat, x_star, dist_true)
     mm = runs["mismatched"]
-    report.summary = {
-        **plan_summary,
-        "empirical_rate": _empirical_rate(mm.column("dist_to_ref")),
-        "error_bound": bound,
-        "fixed_point_gap": float(np.linalg.norm(x_hat - x_star)),
-        "terminal_dist_to_fixed_point": float(np.linalg.norm(mm.state.x - x_hat)),
-        "terminal_dist_to_true": float(np.linalg.norm(mm.state.x - x_star)),
-        **suite,
-    }
+    report.summary.update(
+        empirical_rate=_empirical_rate(mm.column("dist_to_ref")),
+        error_bound=bound,
+        fixed_point_gap=float(np.linalg.norm(x_hat - x_star)),
+        terminal_dist_to_fixed_point=float(np.linalg.norm(mm.state.x - x_hat)),
+        terminal_dist_to_true=float(np.linalg.norm(mm.state.x - x_star)),
+    )
     return report
 
 
@@ -299,17 +295,15 @@ def run_tomography(config=None):
     # eps-strongly convex on the gradient part
     plan = certified_plan(
         pair, config.lam2, min(1.0 / config.lam0, config.eps), config.theta)
-    plan_summary = _plan_summary(pair, plan)
 
     n_pix = config.image_size ** 2
     phantom = tomo.shepp_logan_phantom(config.image_size)
     rng = np.random.default_rng(config.seed)
     z = tomo.make_sinogram(proj.radon_forward, phantom, config.noise_rel, rng)
 
-    prox_g = prox_scaled_quadratic(config.lam2)
-    prox_f = huber_tv_prox(config.lam0, config.lam1, config.eps, z,
-                           geom.sinogram_size, n_pix)
-    problem = solvers.SaddleProblem(prox_g, prox_f, pair)
+    problem = solvers.SaddleProblem(
+        prox_scaled_quadratic(config.lam2),
+        huber_tv_prox(config.lam0, config.lam1, config.eps, z, geom.sinogram_size, n_pix), pair)
 
     forward_mat = pair.forward.matrix  # [Radon; gradient], stacked once
     knee = config.lam1 * config.eps
@@ -326,25 +320,19 @@ def run_tomography(config=None):
         return (0.5 * config.lam0 * float(r @ r) + float(np.sum(huber))
                 + 0.5 * config.lam2 * float(x @ x))
 
-    stopping = solvers.StoppingRule(config.max_iters, config.fixed_point_tol)
-
-    report = RunReport(experiment="tomo", config=asdict(config), plan=asdict(plan))
     x_ref = phantom.ravel()
-    runs, steppers, suite = _run_suite(report, problem, plan, stopping, objective,
-                                       x_ref, x_ref)
+    report, runs, steppers = _run_suite("tomo", config, problem, plan, objective,
+                                        x_ref, x_ref)
     mm = runs["mismatched"]
-    bound = analysis.error_bound(problem, mm.state.y, gamma_g=config.lam2)
-    report.summary = {
-        **plan_summary,
-        "empirical_rate": _empirical_rate(mm.column("residual")),
-        "error_bound": bound,
+    report.summary.update(
+        empirical_rate=_empirical_rate(mm.column("residual")),
+        error_bound=analysis.error_bound(problem, mm.state.y, gamma_g=config.lam2),
         # the matched run stands in for x*, the point the bound is about
-        "dist_mismatched_to_matched": float(
+        dist_mismatched_to_matched=float(
             np.linalg.norm(mm.state.x - runs["matched"].state.x)),
-        "final_residuals": {name: (res.column("residual") or [None])[-1]
-                            for name, res in runs.items()},
-        **suite,
-    }
+        final_residuals={name: (res.column("residual") or [None])[-1]
+                         for name, res in runs.items()},
+    )
 
     shape = (config.image_size, config.image_size)
     report.images["phantom"] = phantom
@@ -359,9 +347,10 @@ def run_tomography(config=None):
         oracle = solvers.run(problem, steppers["mismatched"], oracle_stop,
                              x_ref=x_ref, objective=objective)
         report.statuses["oracle"] = oracle.status
-        report.summary["oracle_dist"] = float(np.linalg.norm(mm.state.x - oracle.state.x))
-        report.summary["oracle_error_bound"] = analysis.error_bound(
-            problem, oracle.state.y, gamma_g=config.lam2)
+        report.summary.update(
+            oracle_dist=float(np.linalg.norm(mm.state.x - oracle.state.x)),
+            oracle_error_bound=analysis.error_bound(problem, oracle.state.y,
+                                                    gamma_g=config.lam2))
         report.images["recon_oracle"] = oracle.state.x.reshape(shape)
 
     return report

@@ -153,8 +153,8 @@ def estimate_operator_norm(op, tol=1e-9, max_iters=5000):
     ||G u - lambda u|| <= tol * lambda; otherwise, or when ARPACK does not
     converge, PowerIterationError carries the best estimate and residual.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n, m = op.domain_dim, op.codomain_dim
     if n == 1:
         return float(np.linalg.norm(op.apply(np.ones(1))))
@@ -293,13 +293,13 @@ class InnerSystemSolver:
     (tomo.NeumannGradient), and "dense" otherwise.  Construction LU-factors
     one capacitance, in ``factor_s`` seconds of wall time; ``rcond`` is its
     dgecon estimate, and below RCOND_FLOOR SingularInnerSystemError is
-    raised.  A non-positive tau, a or b, or a non-finite right-hand side
-    raises ValueError.
+    raised.  A tau that is not positive and finite, a non-positive a or b,
+    or a non-finite right-hand side raises ValueError.
     """
 
     def __init__(self, pair, tau, mu_g=0.0, mu_f=0.0):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau!r}")
         self.pair = pair
         self.tau = float(tau)
         self.a = 1.0 + tau * mu_g  # primal diagonal

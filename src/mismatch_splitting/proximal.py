@@ -33,8 +33,8 @@ def prox_identity():
 
 def prox_scaled_quadratic(alpha, shift=None):
     """Prox of x -> alpha/2 ||x||^2 + <shift, x>: (p - tau*shift)/(1 + tau*alpha)."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
     s = None if shift is None else np.asarray(shift, dtype=float)
 
     def evaluate(p, tau):
@@ -56,8 +56,8 @@ def prox_convex_shifted(base, mu):
     ``prox_{lam(F - mu/2||.||^2)}(x) = prox_{lam/(1-lam*mu) F}(x/(1-lam*mu))``,
     valid for lam < 1/mu.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
     if base.strong_convexity < mu:
         warnings.warn(
             "mu exceeds the declared strong convexity of the base prox; "

@@ -60,6 +60,19 @@ def test_error_bound_matched_is_zero():
     assert error_bound(problem, np.ones(4)) == 0.0
 
 
+@pytest.mark.parametrize("gamma_g", [0.0, np.inf, np.nan])
+def test_error_bound_refuses_bad_gamma_g_by_name(gamma_g):
+    problem = scalar_problem(-0.5)
+    with pytest.raises(ValueError, match="gamma_g"):
+        error_bound(problem, np.array([1.0]), gamma_g=gamma_g)
+
+
+@pytest.mark.parametrize("probe_tau", [np.inf, np.nan])
+def test_inclusion_residual_refuses_non_finite_probe_tau(probe_tau):
+    with pytest.raises(ValueError, match="probe_tau must be positive and finite"):
+        inclusion_residual(scalar_problem(-0.5), [0.0], [0.0], probe_tau=probe_tau)
+
+
 def test_error_bound_requires_modulus():
     pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, 0.5))
     problem = SaddleProblem(prox_l1(), prox_l1(), pair)

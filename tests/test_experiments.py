@@ -443,6 +443,40 @@ def test_cli_analyze_rejects_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, dim", [
+    ("z", ["a", 1.0, 2.0, 3.0], 4),
+    ("z", [1.0, 2.0, 3.0], 4),
+    ("x", [1.0], 6),
+    ("y", [True, 0.0, 0.0, 0.0], 4),
+    ("y", [0.0] * 6, 4),
+    ("z", [math.nan, 0.0, 0.0, 0.0], 4),
+    ("x", [math.inf] + [0.0] * 5, 6),
+], ids=["z-not-a-number", "z-too-short", "x-too-short", "y-bool", "y-too-long", "z-nan",
+        "x-inf"])
+def test_cli_analyze_refuses_a_bad_point_list_naming_key_and_length(tmp_path, capsys,
+                                                                    key, value, dim):
+    # the forward CSV is 4 x 6: z and y have 4 entries, x has 6
+    config = {**_write_csv_pair(tmp_path, np.random.default_rng(0)), "alpha": 0.5,
+              "beta": 1.0, "z": [0.1, -0.2, 0.3, 0.4], key: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli_main(["analyze", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"config key {key!r} must be a list of {dim} finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_analyze_nan_probe_tau_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_write_csv_pair(tmp_path, np.random.default_rng(0)),
+                               "alpha": 0.5, "beta": 1.0, "z": [0.1, -0.2, 0.3, 0.4],
+                               "probe_tau": math.nan}))
+    out = tmp_path / "out"
+    assert cli_main(["analyze", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "probe_tau must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_wrongly_typed_config_value_exits_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": "abc"}))
@@ -670,3 +704,58 @@ def test_every_json_file_comes_from_the_one_writer(tmp_path):
     sources = [open(os.path.join(src, name)).read()
                for name in os.listdir(src) if name.endswith(".py")]
     assert sum(text.count("json.dump") for text in sources) == 1
+
+
+# summary entries of the study runner, shared by run_quadratic and run_tomography
+SHARED_SUMMARY = {"mismatch_norm", "tau", "theta", "predicted_rate", "spectral",
+                  "cp_step", "inner_backend"}
+SPECTRAL = {"sigma_lower_bound", "b_sigma_upper_bound", "sigma_min", "sigma_bound_ratio"}
+
+
+def _check_shared_summary(report):
+    summary, plan = report.summary, report.plan
+    assert set(summary["spectral"]) == SPECTRAL
+    assert (summary["tau"], summary["theta"], summary["predicted_rate"]) == (
+        plan["tau"], plan["theta"], plan["rate"])
+    assert summary["cp_step"] == 0.95 / math.sqrt(plan["norm_a"] * plan["norm_v"])
+    assert set(summary["inner_backend"]) == {"matched", "mismatched", "adapted"}
+    assert set(report.timings["inner_factor_s"]) == {"matched", "mismatched", "adapted"}
+
+
+def test_study_runner_builds_the_report_and_the_shared_summary():
+    from mismatch_splitting import experiments, solvers
+    from mismatch_splitting.operators import MatrixOperator, MismatchPair
+    from mismatch_splitting.proximal import prox_scaled_quadratic
+
+    config = small_quadratic(max_iters=20)
+    a, v, z = experiments._quadratic_operators(config)
+    pair = MismatchPair(MatrixOperator(a), MatrixOperator(v))
+    plan = experiments.certified_plan(pair, config.alpha, config.beta, config.theta)
+    problem = solvers.SaddleProblem(prox_scaled_quadratic(config.alpha),
+                                    prox_scaled_quadratic(config.beta, shift=z), pair)
+    x_ref = np.zeros(config.n)
+    report, runs, steppers = experiments._run_suite(
+        "quadratic", config, problem, plan, lambda x: 0.0, x_ref, x_ref)
+    assert set(report.summary) == SHARED_SUMMARY
+    _check_shared_summary(report)
+    assert report.experiment == "quadratic" and report.config["max_iters"] == 20
+    assert list(runs) == list(steppers) == list(report.statuses) == list(report.traces) == [
+        "matched", "mismatched", "adapted", "cp"]
+    assert all(len(res.trace) <= 21 for res in runs.values())
+
+
+@pytest.mark.parametrize("run, own", [
+    (lambda: run_quadratic(small_quadratic(max_iters=50)),
+     {"empirical_rate", "error_bound", "fixed_point_gap", "terminal_dist_to_fixed_point",
+      "terminal_dist_to_true"}),
+    (lambda: run_tomography(TomoConfig(8, 2, max_iters=30)),
+     {"empirical_rate", "error_bound", "dist_mismatched_to_matched", "final_residuals"}),
+    (lambda: run_tomography(TomoConfig(8, 2, max_iters=30, with_oracle=True)),
+     {"empirical_rate", "error_bound", "dist_mismatched_to_matched", "final_residuals",
+      "oracle_dist", "oracle_error_bound"}),
+], ids=["quadratic", "tomo", "tomo-oracle"])
+def test_study_summary_keys_are_the_runner_s_and_the_driver_s(run, own):
+    report = run()
+    assert set(report.summary) == SHARED_SUMMARY | own
+    assert not SHARED_SUMMARY & own
+    _check_shared_summary(report)

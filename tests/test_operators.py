@@ -112,6 +112,12 @@ def test_operator_norm_matches_svd(seed, m, n):
     assert abs(estimate_operator_norm(op) - ref) <= 1e-6 * max(ref, 1e-12)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_operator_norm_refuses_non_finite_tol_by_name(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        estimate_operator_norm(MatrixOperator(np.diag([2.0, 1.0])), tol=tol)
+
+
 def test_operator_norm_nonconvergence_carries_estimate():
     op = MatrixOperator(np.diag([2.0, 1.0]))
     with pytest.raises(PowerIterationError) as exc:
@@ -270,6 +276,13 @@ def test_inner_system_residual(seed, tau, mu_g, mu_f):
     scale = max(np.linalg.norm(rx), np.linalg.norm(ry), 1.0)
     assert np.linalg.norm(res_x) <= 1e-10 * scale
     assert np.linalg.norm(res_y) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_inner_system_refuses_non_finite_tau_by_name(tau):
+    pair = MismatchPair(ScaledIdentity(1, 1.0), ScaledIdentity(1, 0.5))
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        InnerSystemSolver(pair, tau)
 
 
 def test_inner_system_singularity_names_tau_bound():

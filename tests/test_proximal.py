@@ -103,6 +103,15 @@ def test_shifted_prox_rejects_large_lambda():
         shifted(np.zeros(2), 2.0)
 
 
+@pytest.mark.parametrize("name", ["alpha", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_prox_refuses_non_finite_parameter_by_name(name, value):
+    make = {"alpha": prox_scaled_quadratic,
+            "mu": lambda mu: prox_convex_shifted(prox_scaled_quadratic(2.0), mu)}[name]
+    with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+        make(value)
+
+
 def test_shifted_prox_warns_on_nonconvex_shift():
     with pytest.warns(UserWarning):
         prox_convex_shifted(prox_l1(), 0.5)
